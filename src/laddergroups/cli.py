@@ -72,6 +72,16 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _depth(chk: dict, ctx: dict, where: str) -> int:
+    """The check's chain depth, or the run's default; a non-negative int."""
+    depth = chk.get("depth", ctx["depth"])
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ScenarioError(
+            f"{where}.depth: expected a non-negative integer, got {depth!r}"
+        )
+    return depth
+
+
 def _build_systems(spec: dict) -> dict[str, LadderSystem]:
     systems: dict[str, LadderSystem] = {}
     for name, sys_spec in spec.items():
@@ -189,7 +199,7 @@ def _check_validate(ctx, chk, where):
 
 def _check_build(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = chk.get("depth", ctx["depth"])
+    depth = _depth(chk, ctx, where)
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
     sg = build_stage(cfg, alpha, depth)
     return {
@@ -204,7 +214,7 @@ def _check_build(ctx, chk, where):
 
 def _check_project(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = chk.get("depth", ctx["depth"])
+    depth = _depth(chk, ctx, where)
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
     sg = build_stage(cfg, alpha, depth)
     levels = [parse_ordinal(lit) for lit in _need(chk, "levels", where)]
@@ -220,7 +230,7 @@ def _check_project(ctx, chk, where):
 def _check_equiv(ctx, chk, where):
     src_cfg = _resolve(ctx, "groups", chk, "src", where)
     dst_cfg = _resolve(ctx, "groups", chk, "dst", where)
-    depth = chk.get("depth", ctx["depth"])
+    depth = _depth(chk, ctx, where)
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or src_cfg.system.alpha
     d = disjointify(src_cfg.system)
     overlap = overlap_check(src_cfg.system, dst_cfg.system, d)
@@ -275,7 +285,7 @@ def _phi_from_spec(spec, deltas, depth, target, rng, coloring):
 
 def _check_extend(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = chk.get("depth", ctx["depth"])
+    depth = _depth(chk, ctx, where)
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
     cfg = cfg.restrict(depth)
     sg = build_stage(cfg, alpha, depth)
@@ -315,7 +325,7 @@ def _check_extend(ctx, chk, where):
 
 def _check_obstruct(ctx, chk, where):
     system = _resolve(ctx, "systems", chk, "system", where)
-    depth = chk.get("depth", ctx["depth"])
+    depth = _depth(chk, ctx, where)
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or system.alpha
     c1 = _resolve(ctx, "colorings", chk, "c1", where)
     c2 = _resolve(ctx, "colorings", chk, "c2", where)

@@ -261,17 +261,7 @@ def level_iso_verify(
     in_group = all(
         dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
     )
-    src_keys = src.stage_basis()
-    dst_keys = dst.stage_basis()
-    index = {k: i for i, k in enumerate(dst_keys)}
-    matrix: list[list[Fraction]] = []
-    for key in src_keys:
-        img = gmap.apply(FreeElement.single(key))
-        coords = dst.rewrite(img)
-        row = [Fraction(0)] * len(dst_keys)
-        for k, q in coords.items():
-            row[index[k]] = q
-        matrix.append(row)
+    src_keys, dst_keys, index, matrix = _basis_matrix(gmap, src, dst)
     integral = all(q.denominator == 1 for row in matrix for q in row)
     det = _determinant(matrix)
     inverse_ok = integral and abs(det) == 1
@@ -284,9 +274,8 @@ def level_iso_verify(
         mu = Ordinal(terms)
         rows = [i for i, k in enumerate(src_keys) if not mu < generator_level(k)]
         cols = [index[k] for k in filtration_subgroup(dst, mu)]
-        outside = [
-            j for j in range(len(dst_keys)) if j not in cols
-        ]
+        col_set = set(cols)
+        outside = [j for j in range(len(dst_keys)) if j not in col_set]
         contained = all(matrix[i][j] == 0 for i in rows for j in outside)
         sub = [[matrix[i][j] for j in cols] for i in rows]
         onto = len(rows) == len(cols) and abs(_determinant(sub)) == 1
@@ -294,6 +283,9 @@ def level_iso_verify(
         all_levels_ok = all_levels_ok and ok
         level_checks.append((format_ordinal(mu), ok))
     ok = hom.ok and in_group and inverse_ok and all_levels_ok
+    # one string per distinct entry: the matrix is mostly zeros, and its
+    # strings are the largest part of a report held in memory
+    text = {q: str(q) for row in matrix for q in row}
     return LevelIsoReport(
         hom.ok,
         in_group,
@@ -302,39 +294,57 @@ def level_iso_verify(
         tuple(level_checks),
         tuple(str(k) for k in src_keys),
         tuple(str(k) for k in dst_keys),
-        tuple(tuple(str(q) for q in row) for row in matrix),
+        tuple(tuple(text[q] for q in row) for row in matrix),
         ok,
     )
 
 
-def invert_level_iso(
+def _basis_matrix(
     gmap: GeneratorMap, src: StageGroup, dst: StageGroup
-) -> GeneratorMap:
-    """Inverse of a verified stage isomorphism, as a map on the destination
-    presentation."""
+) -> tuple[tuple[Generator, ...], tuple[Generator, ...], dict[Generator, int],
+           list[list[Fraction]]]:
+    """The source and destination stage bases, the column index of each
+    destination key, and the basis matrix: row i holds the destination
+    coordinates of the image of source basis key i."""
     src_keys = src.stage_basis()
     dst_keys = dst.stage_basis()
     index = {k: i for i, k in enumerate(dst_keys)}
-    matrix = []
+    matrix: list[list[Fraction]] = []
     for key in src_keys:
         coords = dst.rewrite(gmap.apply(FreeElement.single(key)))
         row = [Fraction(0)] * len(dst_keys)
         for k, q in coords.items():
             row[index[k]] = q
         matrix.append(row)
-    inv = _inverse(matrix)
+    return src_keys, dst_keys, index, matrix
+
+
+def invert_level_iso(
+    gmap: GeneratorMap, src: StageGroup, dst: StageGroup
+) -> GeneratorMap:
+    """Inverse of a verified stage isomorphism, as a map on the destination
+    presentation.
+
+    The basis matrix of gmap must be square and nonsingular; otherwise
+    ScopeError is raised.  Each destination generator is rewritten over the
+    destination basis, carried to source basis coordinates through the
+    sparse rows of the inverse, and realized in the source presentation.
+    """
+    src_keys, _, index, matrix = _basis_matrix(gmap, src, dst)
+    inv = _inverse_rows(matrix)
+    realized = [dict(src.realize(key).items()) for key in src_keys]
     images: dict[Generator, FreeElement] = {}
     for g in dst.presentation_generators():
-        coords = dst.rewrite(dst.realize(g))
-        vec = [Fraction(0)] * len(dst_keys)
-        for k, q in coords.items():
-            vec[index[k]] = q
-        out = FreeElement()
-        for j, key in enumerate(src_keys):
-            c = sum((vec[i] * inv[i][j] for i in range(len(dst_keys))), Fraction(0))
+        coords: dict[int, Fraction] = {}
+        for k, q in dst.rewrite(dst.realize(g)).items():
+            for j, v in inv[index[k]].items():
+                coords[j] = coords.get(j, 0) + q * v
+        out: dict[Generator, Fraction] = {}
+        for j, c in coords.items():
             if c:
-                out = out + src.realize(key).scale(c)
-        images[g] = out
+                for h, v in realized[j].items():
+                    out[h] = out.get(h, 0) + c * v
+        images[g] = FreeElement(out)
     return GeneratorMap(images)
 
 
@@ -361,18 +371,30 @@ def _determinant(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+def _inverse_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """Rows of the inverse of a square matrix, each a dict of its nonzero
+    entries, by Gauss-Jordan elimination on sparse rows of [matrix | I]."""
     n = len(matrix)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    if any(len(row) != n for row in matrix):
+        raise ScopeError("matrix is not square")
+    m = [{j: q for j, q in enumerate(row) if q} for row in matrix]
+    for i, row in enumerate(m):
+        row[n + i] = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        pivot = next((r for r in range(col, n) if col in m[r]), None)
         if pivot is None:
             raise ScopeError("matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        prow = m[col] = {j: v * inv for j, v in m[col].items()}
         for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+            row = m[r]
+            if r != col and col in row:
+                factor = row[col]
+                for j, v in prow.items():
+                    x = row.get(j, 0) - factor * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+    return [{j - n: v for j, v in row.items() if j >= n} for row in m]

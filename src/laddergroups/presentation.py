@@ -441,13 +441,6 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
     return FreeElement(out)
 
 
-def basis_realize(cfg, depth: int, key: Generator, coloring=None) -> FreeElement:
-    """Concrete element behind a stage basis key."""
-    if key.kind == "y":
-        return chain_element(cfg, key.ordinal, key.index, coloring)
-    return FreeElement.single(key)
-
-
 @dataclass(frozen=True)
 class MembershipResult:
     in_group: bool

@@ -127,7 +127,12 @@ def greedy_uniformize(sys: LadderSystem, c: Coloring, d) -> UniformizationData:
     data = UniformizationData(psi, thresholds)
     for delta, sl in sys.items():
         for n in range(thresholds[delta], sl.k(sl.block_count)):
-            assert data.psi[sl.entries[n]] == c.color(delta, n)
+            v = sl.entries[n]
+            if data.psi[v] != c.color(delta, n):
+                raise UniformizationError(
+                    f"value {v} carries color {data.psi[v]} but "
+                    f"({format_ordinal(delta)},{n}) needs {c.color(delta, n)}"
+                )
     return data
 
 

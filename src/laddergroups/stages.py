@@ -92,6 +92,8 @@ def build_stage(
     """Assemble and verify a stage: every ladder must be explored through
     `depth` blocks, and every relation must expand to zero through the chain
     elements before the stage is accepted."""
+    if depth < 0:
+        raise ConfigError(f"stage depth must be non-negative, got {depth}")
     deltas = cfg.system.deltas_below(alpha)
     for d in deltas:
         sl = cfg.system.ladder(d)

@@ -139,3 +139,34 @@ def test_depth_exhaustion_hint(tmp_path):
     report = run_scenario(str(path), dict(OPTIONS))
     assert not report["ok"]
     assert "increase depth" in report["checks"][0]["error"]
+
+
+@pytest.mark.parametrize("depth", [-3, "6", 2.5, True])
+@pytest.mark.parametrize("kind", ["build", "project", "equiv", "extend", "obstruct"])
+def test_malformed_check_depth_exits_2(tmp_path, capsys, kind, depth):
+    with open(scenario_path("example14-pair.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for chk in raw["checks"]:
+        if chk["check"] == kind:
+            chk["depth"] = depth
+    path = tmp_path / "bad-depth.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([kind, str(path)]) == 2
+    assert "depth: expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_default_depth_exits_2(tmp_path, capsys):
+    scenario = {
+        "systems": {
+            "s": {
+                "alpha": "w^2+1",
+                "ladders": [{"delta": "w^2", "family": "simple", "blocks": 3}],
+            }
+        },
+        "groups": {"g": {"system": "s", "coeffs": "ones"}},
+        "checks": [{"check": "build", "group": "g"}],
+    }
+    path = tmp_path / "default-depth.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["run", str(path), "--depth", "-3"]) == 2
+    assert "got -3" in capsys.readouterr().err

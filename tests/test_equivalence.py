@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laddergroups.equivalence import (
     build_matched_stages,
@@ -20,6 +22,7 @@ from laddergroups.ladders import (
 from laddergroups.ordinals import nat, omega_power, parse_ordinal
 from laddergroups.presentation import (
     FreeElement,
+    GeneratorMap,
     GroupConfig,
     ScopeError,
     compose_maps,
@@ -190,8 +193,6 @@ def test_level_iso_detects_level_crossing():
         FreeElement.single(high),
         FreeElement.single(low),
     )
-    from laddergroups.presentation import GeneratorMap
-
     rep = level_iso_verify(GeneratorMap(images), src, dst)
     assert not rep.ok
     assert any(not ok for _, ok in rep.level_checks)
@@ -242,3 +243,95 @@ def test_transitivity_through_inverse():
     bc = compose_maps(ac, ba)
     rep = level_iso_verify(bc, stage_b, stage_c)
     assert rep.ok, rep
+
+
+# ---------------------------------------------------------------------------
+# the dense inverse, kept as the oracle for the sparse one
+
+
+def _dense_inverse(matrix):
+    n = len(matrix)
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise ScopeError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def dense_invert_level_iso(gmap, src, dst):
+    """The inverse through dense Fraction vectors: every (generator, source
+    key) coefficient is a full sum over the destination basis."""
+    src_keys = src.stage_basis()
+    dst_keys = dst.stage_basis()
+    index = {k: i for i, k in enumerate(dst_keys)}
+    matrix = []
+    for key in src_keys:
+        coords = dst.rewrite(gmap.apply(FreeElement.single(key)))
+        row = [Fraction(0)] * len(dst_keys)
+        for k, q in coords.items():
+            row[index[k]] = q
+        matrix.append(row)
+    inv = _dense_inverse(matrix)
+    images = {}
+    for g in dst.presentation_generators():
+        coords = dst.rewrite(dst.realize(g))
+        vec = [Fraction(0)] * len(dst_keys)
+        for k, q in coords.items():
+            vec[index[k]] = q
+        out = FreeElement()
+        for j, key in enumerate(src_keys):
+            c = sum((vec[i] * inv[i][j] for i in range(len(dst_keys))), Fraction(0))
+            if c:
+                out = out + src.realize(key).scale(c)
+        images[g] = out
+    return GeneratorMap(images)
+
+
+def seeded_iso(seed, depth):
+    rng = random.Random(seed)
+    src_sys = simple_system()
+    dst_sys = companion_system(
+        src_sys, {d: [rng.randint(1, 3) for _ in range(8)] for d in src_sys.deltas}
+    )
+    src, dst = build_matched_stages(
+        GroupConfig.all_ones(src_sys), companion_config(dst_sys, rng), ALPHA, depth
+    )
+    return level_iso_build(src, dst, disjointify(src_sys)), src, dst
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(3, 5))
+def test_sparse_inverse_matches_dense_oracle(seed, depth):
+    gmap, src, dst = seeded_iso(seed, depth)
+    fast = invert_level_iso(gmap, src, dst)
+    slow = dense_invert_level_iso(gmap, src, dst)
+    assert set(fast.images) == set(slow.images) == set(dst.presentation_generators())
+    for g in dst.presentation_generators():
+        assert fast.image_of(g) == slow.image_of(g), g
+
+
+def test_invert_rejects_singular_basis_matrix():
+    gmap, src, dst = seeded_iso(3, 4)
+    images = dict(gmap.images)
+    a, b = (xgen(beta) for beta in src.x_indices[:2])
+    images[b] = images[a]
+    with pytest.raises(ScopeError, match="singular"):
+        invert_level_iso(GeneratorMap(images), src, dst)
+
+
+def test_invert_rejects_non_square_basis_matrix():
+    cfg = GroupConfig.all_ones(simple_system())
+    dst = build_stage(cfg, ALPHA, 4)
+    src = build_stage(cfg, ALPHA, 4, extra_x=(parse_ordinal("w*40+1"),))
+    images = {g: src.realize(g) for g in src.presentation_generators()}
+    images[xgen(parse_ordinal("w*40+1"))] = FreeElement()
+    with pytest.raises(ScopeError, match="not square"):
+        invert_level_iso(GeneratorMap(images), src, dst)

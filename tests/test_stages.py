@@ -77,6 +77,13 @@ def test_build_catches_shallow_ladders():
         build_stage(cfg, alpha, 5)
 
 
+def test_build_rejects_negative_depth():
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 3)})
+    with pytest.raises(ConfigError, match="non-negative"):
+        build_stage(GroupConfig.all_ones(sys), alpha, -3)
+
+
 def test_filtration_subgroup_levels():
     sg = two_delta_stage()
     low = filtration_subgroup(sg, ZERO)
