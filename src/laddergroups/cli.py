@@ -72,14 +72,30 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_int(value, least: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= least
+
+
 def _depth(chk: dict, ctx: dict, where: str) -> int:
     """The check's chain depth, or the run's default; a non-negative int."""
     depth = chk.get("depth", ctx["depth"])
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+    if not _is_int(depth, 0):
         raise ScenarioError(
             f"{where}.depth: expected a non-negative integer, got {depth!r}"
         )
     return depth
+
+
+def _bounds(chk: dict, ctx: dict, where: str) -> tuple[int, ...]:
+    """The check's search bounds, or the run's default bound; a non-empty
+    list of non-negative ints."""
+    bounds = chk.get("bounds", [ctx["bound"]])
+    if not isinstance(bounds, list) or not bounds or not all(_is_int(b, 0) for b in bounds):
+        raise ScenarioError(
+            f"{where}.bounds: expected a non-empty list of non-negative "
+            f"integers, got {bounds!r}"
+        )
+    return tuple(bounds)
 
 
 def _build_systems(spec: dict) -> dict[str, LadderSystem]:
@@ -125,12 +141,15 @@ def _build_systems(spec: dict) -> dict[str, LadderSystem]:
     return systems
 
 
-def _build_psi(spec):
+def _build_psi(spec, where: str):
     if spec is None or spec == "factorial":
         return FactorialPsi()
-    if isinstance(spec, list):
+    if isinstance(spec, list) and all(_is_int(v, 1) for v in spec):
         return TablePsi(tuple(spec))
-    raise ScenarioError(f"unknown psi selector {spec!r}")
+    raise ScenarioError(
+        f'{where}.psi: expected "factorial" or a list of positive integers, '
+        f"got {spec!r}"
+    )
 
 
 def _build_groups(spec: dict, systems: dict) -> dict[str, GroupConfig]:
@@ -141,7 +160,7 @@ def _build_groups(spec: dict, systems: dict) -> dict[str, GroupConfig]:
         if sys_name not in systems:
             raise ScenarioError(f"{where}: unknown system {sys_name!r}")
         system = systems[sys_name]
-        psi = _build_psi(g.get("psi"))
+        psi = _build_psi(g.get("psi"), where)
         coeffs = g.get("coeffs", "ones")
         if coeffs == "ones":
             groups[name] = GroupConfig.all_ones(system, psi)
@@ -329,7 +348,8 @@ def _check_obstruct(ctx, chk, where):
     alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or system.alpha
     c1 = _resolve(ctx, "colorings", chk, "c1", where)
     c2 = _resolve(ctx, "colorings", chk, "c2", where)
-    psi = _build_psi(chk.get("psi"))
+    psi = _build_psi(chk.get("psi"), where)
+    bounds = _bounds(chk, ctx, where)
     rng = random.Random(chk.get("seed", ctx["seed"]))
     b_spec = chk.get("b", {"random": {"low": -9, "high": 9}})
     explicit_b = (
@@ -355,7 +375,6 @@ def _check_obstruct(ctx, chk, where):
     cfg = GroupConfig.from_rule(
         system, psi, lambda d, n, t: choose_annihilator(b_data[(d, n)])
     )
-    bounds = tuple(chk.get("bounds", [ctx["bound"]]))
     verdict = parity_obstruction(cfg, c1, c2, b_data, alpha, depth, bounds)
     result = {
         "ok": True,

@@ -29,6 +29,7 @@ from .presentation import (
     ScopeError,
     block_element,
     chain_element,
+    gauss_jordan,
     generator_level,
     verify_hom,
     xgen,
@@ -262,8 +263,8 @@ def level_iso_verify(
         dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
     )
     src_keys, dst_keys, index, matrix = _basis_matrix(gmap, src, dst)
-    integral = all(q.denominator == 1 for row in matrix for q in row)
-    det = _determinant(matrix)
+    integral = all(q.denominator == 1 for row in matrix for q in row.values())
+    det = gauss_jordan(matrix, len(dst_keys))[0]
     inverse_ok = integral and abs(det) == 1
     levels = sorted(
         {generator_level(k).terms for k in src_keys} | {src.alpha.terms},
@@ -272,20 +273,15 @@ def level_iso_verify(
     all_levels_ok = True
     for terms in levels:
         mu = Ordinal(terms)
-        rows = [i for i, k in enumerate(src_keys) if not mu < generator_level(k)]
-        cols = [index[k] for k in filtration_subgroup(dst, mu)]
-        col_set = set(cols)
-        outside = [j for j in range(len(dst_keys)) if j not in col_set]
-        contained = all(matrix[i][j] == 0 for i in rows for j in outside)
-        sub = [[matrix[i][j] for j in cols] for i in rows]
-        onto = len(rows) == len(cols) and abs(_determinant(sub)) == 1
-        ok = contained and onto
+        rows = [row for k, row in zip(src_keys, matrix) if not mu < generator_level(k)]
+        cols = {index[k]: c for c, k in enumerate(filtration_subgroup(dst, mu))}
+        ok = all(j in cols for row in rows for j in row)
+        if ok:
+            sub = [{cols[j]: q for j, q in row.items()} for row in rows]
+            ok = abs(gauss_jordan(sub, len(cols))[0]) == 1
         all_levels_ok = all_levels_ok and ok
         level_checks.append((format_ordinal(mu), ok))
     ok = hom.ok and in_group and inverse_ok and all_levels_ok
-    # one string per distinct entry: the matrix is mostly zeros, and its
-    # strings are the largest part of a report held in memory
-    text = {q: str(q) for row in matrix for q in row}
     return LevelIsoReport(
         hom.ok,
         in_group,
@@ -294,7 +290,10 @@ def level_iso_verify(
         tuple(level_checks),
         tuple(str(k) for k in src_keys),
         tuple(str(k) for k in dst_keys),
-        tuple(tuple(text[q] for q in row) for row in matrix),
+        tuple(
+            tuple(str(row[j]) if j in row else "0" for j in range(len(dst_keys)))
+            for row in matrix
+        ),
         ok,
     )
 
@@ -302,20 +301,18 @@ def level_iso_verify(
 def _basis_matrix(
     gmap: GeneratorMap, src: StageGroup, dst: StageGroup
 ) -> tuple[tuple[Generator, ...], tuple[Generator, ...], dict[Generator, int],
-           list[list[Fraction]]]:
+           list[dict[int, Fraction]]]:
     """The source and destination stage bases, the column index of each
-    destination key, and the basis matrix: row i holds the destination
-    coordinates of the image of source basis key i."""
+    destination key, and the sparse basis matrix: row i maps column indices
+    to the nonzero destination coordinates of the image of source basis
+    key i."""
     src_keys = src.stage_basis()
     dst_keys = dst.stage_basis()
     index = {k: i for i, k in enumerate(dst_keys)}
-    matrix: list[list[Fraction]] = []
-    for key in src_keys:
-        coords = dst.rewrite(gmap.apply(FreeElement.single(key)))
-        row = [Fraction(0)] * len(dst_keys)
-        for k, q in coords.items():
-            row[index[k]] = q
-        matrix.append(row)
+    matrix = [
+        {index[k]: q for k, q in dst.rewrite(gmap.apply(FreeElement.single(key))).items()}
+        for key in src_keys
+    ]
     return src_keys, dst_keys, index, matrix
 
 
@@ -331,7 +328,13 @@ def invert_level_iso(
     sparse rows of the inverse, and realized in the source presentation.
     """
     src_keys, _, index, matrix = _basis_matrix(gmap, src, dst)
-    inv = _inverse_rows(matrix)
+    n = len(index)
+    det, _, reduced = gauss_jordan(
+        [{**row, n + i: Fraction(1)} for i, row in enumerate(matrix)], n
+    )
+    if not det:
+        raise ScopeError("basis matrix is singular or not square")
+    inv = [{j - n: v for j, v in row.items() if j >= n} for row in reduced]
     realized = [dict(src.realize(key).items()) for key in src_keys]
     images: dict[Generator, FreeElement] = {}
     for g in dst.presentation_generators():
@@ -346,55 +349,3 @@ def invert_level_iso(
                     out[h] = out.get(h, 0) + c * v
         images[g] = FreeElement(out)
     return GeneratorMap(images)
-
-
-def _determinant(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _inverse_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
-    """Rows of the inverse of a square matrix, each a dict of its nonzero
-    entries, by Gauss-Jordan elimination on sparse rows of [matrix | I]."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ScopeError("matrix is not square")
-    m = [{j: q for j, q in enumerate(row) if q} for row in matrix]
-    for i, row in enumerate(m):
-        row[n + i] = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if col in m[r]), None)
-        if pivot is None:
-            raise ScopeError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        prow = m[col] = {j: v * inv for j, v in m[col].items()}
-        for r in range(n):
-            row = m[r]
-            if r != col and col in row:
-                factor = row[col]
-                for j, v in prow.items():
-                    x = row.get(j, 0) - factor * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-    return [{j - n: v for j, v in row.items() if j >= n} for row in m]

@@ -142,10 +142,7 @@ class SpecialLadder:
             raise PrefixExhaustedError(
                 f"ladder on {self.delta} has no rule; explored {self.block_count} blocks"
             )
-        top = self.rule.breakpoint(blocks)
-        entries = tuple(self.rule.entry(i) for i in range(top))
-        bps = tuple(self.rule.breakpoint(n) for n in range(blocks + 1))
-        return SpecialLadder(self.delta, entries, bps, self.rule)
+        return _from_rule(self.delta, self.rule, blocks)
 
 
 @dataclass(frozen=True)

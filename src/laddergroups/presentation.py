@@ -96,7 +96,8 @@ class FreeElement:
         clean = {}
         if coeffs:
             for g, q in coeffs.items():
-                q = Fraction(q)
+                if type(q) is not Fraction:
+                    q = Fraction(q)
                 if q:
                     clean[g] = q
         object.__setattr__(self, "_coeffs", clean)
@@ -170,6 +171,52 @@ class FreeElement:
 
 
 ZERO_ELEMENT = FreeElement()
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+
+
+def gauss_jordan(
+    rows: list[dict[int, Fraction]], n: int
+) -> tuple[Fraction, int, list[dict[int, Fraction]]]:
+    """Gauss-Jordan elimination over the rationals on sparse rows.
+
+    Each row maps a column index to its nonzero entry.  Columns 0..n-1 are
+    the pivot columns; later columns ride along, so reducing the rows of
+    [M | I] leaves the inverse of a nonsingular M in the ride-along block.
+    Returns the determinant of the leading square block (0 unless there are
+    exactly n rows and every pivot column has a pivot), the rank, and the
+    reduced rows: the pivot rows first, in column order and scaled to pivot
+    1, then the rest.  The input rows are not modified.
+    """
+    m = [dict(row) for row in rows]
+    det = Fraction(1)
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(m)) if col in m[r]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        p = m[rank][col]
+        det *= p
+        prow = m[rank] = {j: v / p for j, v in m[rank].items()}
+        for r, row in enumerate(m):
+            if r != rank and col in row:
+                factor = row[col]
+                for j, v in prow.items():
+                    x = row.get(j, 0) - factor * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        rank += 1
+    if len(m) != n:
+        det = Fraction(0)
+    return det, rank, m
 
 
 # ---------------------------------------------------------------------------

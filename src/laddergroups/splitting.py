@@ -14,7 +14,7 @@ annihilated x lift, demand n! * delta = +-1, which no integer satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -689,6 +689,30 @@ def _chain_offsets(cfg, coloring, dd, depth, d0, lift) -> list[int] | None:
     return d
 
 
+def _seed_search(ts: TwistedStage, colorings, bound: int, lift):
+    """Scan the seed offset of each delta's chain of ts in the order 0, 1,
+    -1, 2, ... and keep the first seed whose offset chains under every
+    coloring stay integral and inside [-bound, bound].
+
+    Returns the result without a section, and the chain under the first
+    coloring for each delta that found a seed.
+    """
+    cfg, depth = ts.twisted.cfg, ts.twisted.depth
+    offsets: dict[Ordinal, list[int]] = {}
+    tried = 0
+    for dd in ts.twisted.deltas:
+        for d0 in _seed_scan(bound):
+            tried += 1
+            chains = [_chain_offsets(cfg, c, dd, depth, d0, lift) for c in colorings]
+            if all(ch is not None and all(abs(v) <= bound for v in ch) for ch in chains):
+                offsets[dd] = chains[0]
+                break
+        else:
+            return SearchResult(False, bound, (), None, format_ordinal(dd), tried), offsets
+    seeds = tuple((format_ordinal(dd), chain[0]) for dd, chain in offsets.items())
+    return SearchResult(True, bound, seeds, None, None, tried), offsets
+
+
 def _section_from_offsets(ts: TwistedStage, offsets, lift) -> GeneratorMap:
     cfg = ts.twisted.cfg
     images: dict[Generator, FreeElement] = {}
@@ -715,23 +739,9 @@ def splitting_search(
     full scan without one is an exhaustion certificate for this bound.
     """
     lift = x_lift or {}
-    cfg = ts.twisted.cfg
-    depth = ts.twisted.depth
-    offsets: dict[Ordinal, list[int]] = {}
-    seeds = []
-    tried = 0
-    for dd in ts.twisted.deltas:
-        got = None
-        for d0 in _seed_scan(bound):
-            tried += 1
-            chain = _chain_offsets(cfg, ts.coloring, dd, depth, d0, lift)
-            if chain is not None and all(abs(v) <= bound for v in chain):
-                got = chain
-                break
-        if got is None:
-            return SearchResult(False, bound, (), None, format_ordinal(dd), tried)
-        offsets[dd] = got
-        seeds.append((format_ordinal(dd), got[0]))
+    result, offsets = _seed_search(ts, [ts.coloring], bound, lift)
+    if not result.found:
+        return result
     section = _section_from_offsets(ts, offsets, lift)
     hom = verify_hom(section, ts.untwisted.formal_relations())
     if not hom.ok:
@@ -739,7 +749,7 @@ def splitting_search(
     for g in section.domain():
         if ts.collapse.apply(section.image_of(g)) != ts.untwisted.realize(g):
             raise ExtensionError("section candidate is not a right inverse")
-    return SearchResult(True, bound, tuple(seeds), section, None, tried)
+    return replace(result, section=section)
 
 
 def splitting_search_pair(
@@ -751,28 +761,7 @@ def splitting_search_pair(
     """Joint section search for two twisted stages over the same group with
     a shared x lift and shared seed offsets, the finitary reading of the
     two-filter argument."""
-    lift = x_lift or {}
-    cfg = ts1.twisted.cfg
-    depth = ts1.twisted.depth
-    seeds = []
-    tried = 0
-    for dd in ts1.twisted.deltas:
-        got = None
-        for d0 in _seed_scan(bound):
-            tried += 1
-            c1 = _chain_offsets(cfg, ts1.coloring, dd, depth, d0, lift)
-            c2 = _chain_offsets(cfg, ts2.coloring, dd, depth, d0, lift)
-            if (
-                c1 is not None
-                and c2 is not None
-                and all(abs(v) <= bound for v in c1 + c2)
-            ):
-                got = d0
-                break
-        if got is None:
-            return SearchResult(False, bound, (), None, format_ordinal(dd), tried)
-        seeds.append((format_ordinal(dd), got))
-    return SearchResult(True, bound, tuple(seeds), None, None, tried)
+    return _seed_search(ts1, [ts1.coloring, ts2.coloring], bound, x_lift or {})[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ projections and freeness certificates finite computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ordinals import Ordinal, format_ordinal, plus_omega
 from .presentation import (
@@ -26,6 +25,7 @@ from .presentation import (
     block_element,
     chain_element,
     chain_relation,
+    gauss_jordan,
     generator_level,
     membership,
     membership_at_level,
@@ -168,6 +168,7 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
     cfg = sg.cfg
     bound = plus_omega(nu)
     images: dict[Generator, FreeElement] = {}
+    gmap = GeneratorMap(images)
     for beta in sg.x_indices:
         g = xgen(beta)
         images[g] = FreeElement.single(g) if beta < bound else FreeElement()
@@ -188,10 +189,9 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
         for n in range(cut, sg.depth + 1):
             images[ygen(d, n)] = FreeElement()
         for n in reversed(range(cut)):
-            blk_img = element_apply(images, block_element(cfg, d, n))
+            blk_img = gmap.apply(block_element(cfg, d, n))
             images[ygen(d, n)] = images[ygen(d, n + 1)].scale(cfg.psi(n)) - blk_img
-        notes.extend(_closed_form_notes(cfg, d, cut, images))
-    gmap = GeneratorMap(images)
+        notes.extend(_closed_form_notes(cfg, d, cut, gmap))
 
     relations = sg.formal_relations()
     hom = verify_hom(gmap, relations)
@@ -222,14 +222,7 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
     return gmap, report
 
 
-def element_apply(images: dict[Generator, FreeElement], e: FreeElement) -> FreeElement:
-    out = FreeElement()
-    for g, q in e.items():
-        out = out + images[g].scale(q)
-    return out
-
-
-def _closed_form_notes(cfg, d, cut, images) -> list[str]:
+def _closed_form_notes(cfg, d, cut, gmap: GeneratorMap) -> list[str]:
     """Compare the recursion against the two closed-form weightings.
 
     The unshifted product of psi values reproduces the recursion; the
@@ -237,11 +230,11 @@ def _closed_form_notes(cfg, d, cut, images) -> list[str]:
     whenever psi is not constant on the range, and gets a note."""
     notes = []
     for n in range(cut):
-        recursion = images[ygen(d, n)]
+        recursion = gmap.image_of(ygen(d, n))
         plain = FreeElement()
         shifted = FreeElement()
         for i in range(n, cut):
-            blk = element_apply(images, block_element(cfg, d, i))
+            blk = gmap.apply(block_element(cfg, d, i))
             plain = plain + blk.scale(-cfg.psi_product(n, i))
             w = 1
             for j in range(n, i):
@@ -339,16 +332,10 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
 
 def _rank(sg: StageGroup, keys: tuple[Generator, ...], depth: int) -> int:
     """Rank over the rationals of the concrete vectors behind the keys."""
-    pivots: list[tuple[Generator, dict[Generator, Fraction]]] = []
-    for g in keys:
-        row = dict(stage_rewrite(sg.cfg, depth, sg.realize(g)).items())
-        for pg, prow in pivots:
-            if row.get(pg):
-                factor = row[pg] / prow[pg]
-                for k, v in prow.items():
-                    row[k] = row.get(k, Fraction(0)) - factor * v
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            pivot = min(row, key=Generator.sort_key)
-            pivots.append((pivot, row))
-    return len(pivots)
+    index: dict[Generator, int] = {}
+    rows = [
+        {index.setdefault(k, len(index)): q
+         for k, q in stage_rewrite(sg.cfg, depth, sg.realize(g)).items()}
+        for g in keys
+    ]
+    return gauss_jordan(rows, len(index))[1]

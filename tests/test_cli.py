@@ -170,3 +170,49 @@ def test_negative_default_depth_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(scenario), encoding="utf-8")
     assert main(["run", str(path), "--depth", "-3"]) == 2
     assert "got -3" in capsys.readouterr().err
+
+
+def _obstruct_scenario(tmp_path, **fields):
+    with open(scenario_path("parity-obstruction.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for chk in raw["checks"]:
+        if chk["check"] == "obstruct":
+            chk.update(fields)
+    path = tmp_path / "bad-obstruct.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("psi", [["2", 1, 2], [1, 0, 2], [1, -2], [True, 1], 2, "table"])
+@pytest.mark.parametrize("where", ["groups", "obstruct"])
+def test_malformed_psi_exits_2(tmp_path, capsys, where, psi):
+    if where == "groups":
+        with open(scenario_path("parity-obstruction.json"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["groups"]["g-nu"]["psi"] = psi
+        path = tmp_path / "bad-psi.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    else:
+        path = _obstruct_scenario(tmp_path, psi=psi)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "psi: expected" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bounds", [[], 5, ["5"], [-5], [2.5], [True]])
+def test_malformed_bounds_exit_2(tmp_path, capsys, bounds):
+    path = _obstruct_scenario(tmp_path, bounds=bounds)
+    assert main(["obstruct", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bounds: expected" in err and err.count("\n") == 1
+
+
+def test_negative_default_bound_exits_2(tmp_path, capsys):
+    with open(scenario_path("parity-obstruction.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for chk in raw["checks"]:
+        chk.pop("bounds", None)
+    path = tmp_path / "default-bound.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["obstruct", str(path), "--bound", "-5"]) == 2
+    assert "got [-5]" in capsys.readouterr().err

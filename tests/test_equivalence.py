@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from laddergroups.equivalence import (
+    LevelIsoReport,
     build_matched_stages,
     disjointify,
     invert_level_iso,
@@ -19,17 +20,20 @@ from laddergroups.ladders import (
     make_simple_special,
     prefix_special,
 )
-from laddergroups.ordinals import nat, omega_power, parse_ordinal
+from laddergroups.ordinals import Ordinal, format_ordinal, nat, omega_power, parse_ordinal
 from laddergroups.presentation import (
     FreeElement,
     GeneratorMap,
     GroupConfig,
     ScopeError,
     compose_maps,
+    gauss_jordan,
+    generator_level,
+    verify_hom,
     xgen,
     ygen,
 )
-from laddergroups.stages import build_stage
+from laddergroups.stages import build_stage, filtration_subgroup
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -335,3 +339,159 @@ def test_invert_rejects_non_square_basis_matrix():
     images[xgen(parse_ordinal("w*40+1"))] = FreeElement()
     with pytest.raises(ScopeError, match="not square"):
         invert_level_iso(GeneratorMap(images), src, dst)
+
+
+def test_verify_reports_non_square_basis_matrix_as_not_invertible():
+    cfg = GroupConfig.all_ones(simple_system())
+    src = build_stage(cfg, ALPHA, 4)
+    dst = build_stage(cfg, ALPHA, 4, extra_x=(parse_ordinal("w^2*2+w*50+1"),))
+    gmap = GeneratorMap({g: src.realize(g) for g in src.presentation_generators()})
+    rep = level_iso_verify(gmap, src, dst)
+    assert (len(rep.src_basis), len(rep.dst_basis)) == (10, 11)
+    assert rep.determinant == "0"
+    assert not rep.inverse_integral
+    assert not rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the dense determinant, the pivot-list rank and the dense level loop, kept
+# as oracles for the sparse Gauss-Jordan routine
+
+
+def dense_determinant(matrix):
+    """Determinant of the leading square block, the rows counting its size."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    m = [row[:] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def pivot_list_rank(rows):
+    """Rank of sparse rows, each reduced against the pivot rows kept so far."""
+    pivots = []
+    for row in rows:
+        row = dict(row)
+        for pc, prow in pivots:
+            if row.get(pc):
+                factor = row[pc] / prow[pc]
+                for k, v in prow.items():
+                    row[k] = row.get(k, Fraction(0)) - factor * v
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            pc = min(row)
+            pivots.append((pc, row))
+    return len(pivots)
+
+
+def dense_level_iso_verify(gmap, src, dst):
+    """level_iso_verify over a dense basis matrix, with a fresh dense
+    determinant for the whole matrix and for every filtration level."""
+    hom = verify_hom(gmap, src.formal_relations())
+    in_group = all(dst.membership(gmap.image_of(g)).in_group for g in gmap.domain())
+    src_keys = src.stage_basis()
+    dst_keys = dst.stage_basis()
+    index = {k: i for i, k in enumerate(dst_keys)}
+    matrix = []
+    for key in src_keys:
+        coords = dst.rewrite(gmap.apply(FreeElement.single(key)))
+        row = [Fraction(0)] * len(dst_keys)
+        for k, q in coords.items():
+            row[index[k]] = q
+        matrix.append(row)
+    integral = all(q.denominator == 1 for row in matrix for q in row)
+    det = dense_determinant(matrix)
+    inverse_ok = integral and abs(det) == 1
+    levels = sorted({generator_level(k).terms for k in src_keys} | {src.alpha.terms})
+    level_checks = []
+    for terms in levels:
+        mu = Ordinal(terms)
+        rows = [i for i, k in enumerate(src_keys) if not mu < generator_level(k)]
+        cols = [index[k] for k in filtration_subgroup(dst, mu)]
+        outside = [j for j in range(len(dst_keys)) if j not in cols]
+        contained = all(matrix[i][j] == 0 for i in rows for j in outside)
+        sub = [[matrix[i][j] for j in cols] for i in rows]
+        onto = len(rows) == len(cols) and abs(dense_determinant(sub)) == 1
+        level_checks.append((format_ordinal(mu), contained and onto))
+    ok = hom.ok and in_group and inverse_ok and all(ok for _, ok in level_checks)
+    return LevelIsoReport(
+        hom.ok,
+        in_group,
+        str(det),
+        inverse_ok,
+        tuple(level_checks),
+        tuple(str(k) for k in src_keys),
+        tuple(str(k) for k in dst_keys),
+        tuple(tuple(str(q) for q in row) for row in matrix),
+        ok,
+    )
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return [[Fraction(draw(entry)) for _ in range(cols)] for _ in range(rows)], cols
+
+
+F = Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[F(1), F(2)], [F(2), F(4)]], 2))
+@example(([[F(0), F(1)], [F(1), F(0)]], 2))
+@example(([[F(1), F(0), F(2)], [F(0), F(1), F(3)]], 3))
+@example(([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]], 2))
+def test_gauss_jordan_matches_dense_oracles(case):
+    matrix, n = case
+    rows = [{j: q for j, q in enumerate(row) if q} for row in matrix]
+    before = [dict(row) for row in rows]
+    det, rank, reduced = gauss_jordan(rows, n)
+    assert rows == before
+    assert rank == pivot_list_rank(rows)
+    assert det == (dense_determinant(matrix) if len(matrix) == n else 0)
+    assert [min(row) for row in reduced[:rank]] == sorted(min(row) for row in reduced[:rank])
+    assert all(row[min(row)] == 1 for row in reduced[:rank])
+    assert not any(j < n for row in reduced[rank:] for j in row)
+    if det:
+        augmented = [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)]
+        inv = [{j - n: v for j, v in row.items() if j >= n}
+               for row in gauss_jordan(augmented, n)[2]]
+        assert [[row.get(j, 0) for j in range(n)] for row in inv] == _dense_inverse(matrix)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(3, 5), st.sampled_from(["none", "cross", "singular"]))
+def test_level_iso_verify_matches_dense_oracle(seed, depth, tamper):
+    gmap, src, dst = seeded_iso(seed, depth)
+    images = dict(gmap.images)
+    system = src.cfg.system
+    low = xgen(system.ladder(W2).entries[0])
+    high = xgen(system.ladder(W2_2).entries[1])
+    if tamper == "cross":
+        images[low], images[high] = FreeElement.single(high), FreeElement.single(low)
+    elif tamper == "singular":
+        images[high] = images[low]
+    gmap = GeneratorMap(images)
+    rep = level_iso_verify(gmap, src, dst)
+    assert rep == dense_level_iso_verify(gmap, src, dst)
+    assert rep.ok == (tamper == "none")
