@@ -33,7 +33,7 @@ from .ladders import (
     prefix_special,
     validate_special,
 )
-from .ordinals import Ordinal, format_ordinal, parse_ordinal
+from .ordinals import Ordinal, OrdinalParseError, format_ordinal, parse_ordinal
 from .presentation import FactorialPsi, GroupConfig, TablePsi
 from .splitting import (
     Coloring,
@@ -76,6 +76,23 @@ def _is_int(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, int) and value >= least
 
 
+def _ordinal(value, where: str) -> Ordinal:
+    """An ordinal literal from scenario input."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: expected an ordinal literal, got {value!r}")
+    try:
+        return parse_ordinal(value)
+    except OrdinalParseError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _alpha(chk: dict, ctx: dict, where: str, system: LadderSystem) -> Ordinal:
+    """The check's stage level, else the run's --stage, else the system's."""
+    if "alpha" in chk:
+        return _ordinal(chk["alpha"], f"{where}.alpha")
+    return ctx["stage"] or system.alpha
+
+
 def _depth(chk: dict, ctx: dict, where: str) -> int:
     """The check's chain depth, or the run's default; a non-negative int."""
     depth = chk.get("depth", ctx["depth"])
@@ -110,19 +127,21 @@ def _build_systems(spec: dict) -> dict[str, LadderSystem]:
             sizes = _need(sys_spec, "block_sizes", where)
             ladders = {}
             for delta_lit, size_list in sizes.items():
-                delta = parse_ordinal(delta_lit)
+                delta = _ordinal(delta_lit, f"{where}.block_sizes")
                 ladders[delta] = companion_same_range(
                     src.ladder(delta), tuple(size_list)
                 )
             systems[name] = LadderSystem.build(src.alpha, ladders)
             continue
-        alpha = parse_ordinal(_need(sys_spec, "alpha", where))
+        alpha = _ordinal(_need(sys_spec, "alpha", where), f"{where}.alpha")
         ladders = {}
         for i, lad in enumerate(_need(sys_spec, "ladders", where)):
             lwhere = f"{where}.ladders[{i}]"
-            delta = parse_ordinal(_need(lad, "delta", lwhere))
+            delta = _ordinal(_need(lad, "delta", lwhere), f"{lwhere}.delta")
             if "entries" in lad:
-                entries = tuple(parse_ordinal(e) for e in lad["entries"])
+                entries = tuple(
+                    _ordinal(e, f"{lwhere}.entries[{j}]") for j, e in enumerate(lad["entries"])
+                )
                 bps = tuple(lad["breakpoints"]) if "breakpoints" in lad else None
                 ladders[delta] = prefix_special(delta, entries, bps)
             else:
@@ -169,7 +188,7 @@ def _build_groups(spec: dict, systems: dict) -> dict[str, GroupConfig]:
         elif isinstance(coeffs, dict):
             table = {}
             for delta_lit, vectors in coeffs.items():
-                delta = parse_ordinal(delta_lit)
+                delta = _ordinal(delta_lit, f"{where}.coeffs")
                 for n, vec in enumerate(vectors):
                     table[(delta, n)] = tuple(vec)
             groups[name] = GroupConfig(system, psi, table)
@@ -184,8 +203,9 @@ def _build_colorings(spec: dict) -> dict[str, Coloring]:
         where = f"colorings[{name}]"
         palette = c.get("palette", 2)
         entries = {}
-        for row in _need(c, "entries", where):
-            entries[parse_ordinal(_need(row, "delta", where))] = tuple(row["colors"])
+        for j, row in enumerate(_need(c, "entries", where)):
+            delta = _ordinal(_need(row, "delta", where), f"{where}.entries[{j}].delta")
+            entries[delta] = tuple(row["colors"])
         out[name] = Coloring(entries, palette)
     return out
 
@@ -219,7 +239,7 @@ def _check_validate(ctx, chk, where):
 def _check_build(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
     depth = _depth(chk, ctx, where)
-    alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
+    alpha = _alpha(chk, ctx, where, cfg.system)
     sg = build_stage(cfg, alpha, depth)
     return {
         "ok": True,
@@ -234,9 +254,14 @@ def _check_build(ctx, chk, where):
 def _check_project(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
     depth = _depth(chk, ctx, where)
-    alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
+    alpha = _alpha(chk, ctx, where, cfg.system)
     sg = build_stage(cfg, alpha, depth)
-    levels = [parse_ordinal(lit) for lit in _need(chk, "levels", where)]
+    levels = _need(chk, "levels", where)
+    if not isinstance(levels, list):
+        raise ScenarioError(
+            f"{where}.levels: expected a list of ordinal literals, got {levels!r}"
+        )
+    levels = [_ordinal(lit, f"{where}.levels[{i}]") for i, lit in enumerate(levels)]
     reports = []
     ok = True
     for nu in levels:
@@ -250,7 +275,7 @@ def _check_equiv(ctx, chk, where):
     src_cfg = _resolve(ctx, "groups", chk, "src", where)
     dst_cfg = _resolve(ctx, "groups", chk, "dst", where)
     depth = _depth(chk, ctx, where)
-    alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or src_cfg.system.alpha
+    alpha = _alpha(chk, ctx, where, src_cfg.system)
     d = disjointify(src_cfg.system)
     overlap = overlap_check(src_cfg.system, dst_cfg.system, d)
     src, dst = build_matched_stages(src_cfg, dst_cfg, alpha, depth)
@@ -279,7 +304,7 @@ def _check_uniformize(ctx, chk, where):
     }
 
 
-def _phi_from_spec(spec, deltas, depth, target, rng, coloring):
+def _phi_from_spec(spec, deltas, depth, target, rng, coloring, where):
     if isinstance(target, MarkedBasisTarget):
         if coloring is None:
             raise ScenarioError("marked-target extension needs a coloring")
@@ -295,7 +320,7 @@ def _phi_from_spec(spec, deltas, depth, target, rng, coloring):
         return {(d, n): rng.randint(lo, hi) for d in deltas for n in range(depth)}
     if isinstance(spec, dict) and "values" in spec:
         return {
-            (parse_ordinal(lit), n): v
+            (_ordinal(lit, f"{where}.phi.values"), n): v
             for lit, vals in spec["values"].items()
             for n, v in enumerate(vals)
         }
@@ -305,7 +330,7 @@ def _phi_from_spec(spec, deltas, depth, target, rng, coloring):
 def _check_extend(ctx, chk, where):
     cfg = _resolve(ctx, "groups", chk, "group", where)
     depth = _depth(chk, ctx, where)
-    alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or cfg.system.alpha
+    alpha = _alpha(chk, ctx, where, cfg.system)
     cfg = cfg.restrict(depth)
     sg = build_stage(cfg, alpha, depth)
     target_name = chk.get("target", "integers")
@@ -316,7 +341,7 @@ def _check_extend(ctx, chk, where):
         else None
     )
     rng = random.Random(chk.get("seed", ctx["seed"]))
-    phi = _phi_from_spec(chk.get("phi"), sg.deltas, depth, target, rng, coloring)
+    phi = _phi_from_spec(chk.get("phi"), sg.deltas, depth, target, rng, coloring, where)
     induced = induced_coloring(sg, phi, target)
     d = disjointify(cfg.system)
     u = greedy_uniformize(cfg.system, induced, d)
@@ -345,7 +370,7 @@ def _check_extend(ctx, chk, where):
 def _check_obstruct(ctx, chk, where):
     system = _resolve(ctx, "systems", chk, "system", where)
     depth = _depth(chk, ctx, where)
-    alpha = parse_ordinal(chk["alpha"]) if "alpha" in chk else ctx["stage"] or system.alpha
+    alpha = _alpha(chk, ctx, where, system)
     c1 = _resolve(ctx, "colorings", chk, "c1", where)
     c2 = _resolve(ctx, "colorings", chk, "c2", where)
     psi = _build_psi(chk.get("psi"), where)
@@ -353,7 +378,7 @@ def _check_obstruct(ctx, chk, where):
     rng = random.Random(chk.get("seed", ctx["seed"]))
     b_spec = chk.get("b", {"random": {"low": -9, "high": 9}})
     explicit_b = (
-        {parse_ordinal(k): v for k, v in b_spec["values"].items()}
+        {_ordinal(k, f"{where}.b.values"): v for k, v in b_spec["values"].items()}
         if isinstance(b_spec, dict) and "values" in b_spec
         else None
     )
@@ -532,10 +557,12 @@ def main(argv: list[str] | None = None) -> int:
         "depth": args.depth,
         "seed": args.seed,
         "bound": args.bound,
-        "stage": parse_ordinal(args.stage) if args.stage else None,
+        "stage": None,
         "kind": None if args.verb == "run" else args.verb,
     }
     try:
+        if args.stage:
+            options["stage"] = _ordinal(args.stage, "--stage")
         report = run_scenario(args.scenario, options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ from .presentation import (
     GroupConfig,
     ScopeError,
     block_element,
-    chain_element,
     gauss_jordan,
     generator_level,
     verify_hom,
@@ -229,7 +228,7 @@ def level_iso_build(
         eta = src.cfg.system.ladder(dd)
         m = d.m(dd)
         for n in range(m, depth + 1):
-            images[ygen(dd, n)] = chain_element(dst.cfg, dd, n)
+            images[ygen(dd, n)] = dst.realize(ygen(dd, n))
         for n in reversed(range(m)):
             x_img = images[xgen(eta.entries[n])]
             images[ygen(dd, n)] = (

@@ -404,18 +404,22 @@ def block_element(
 
 def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     """The n-th division chain element of delta, concretely in the ambient
-    module: (prod_{i<n} 1/psi(i)) * seed + partial block sums.  With a
-    coloring the blocks carry their twist term, realizing the twisted chain.
+    module: seed / P(0, n) + sum_{i<n} block(i) / P(i, n), where P(i, n) is
+    the product of psi(j) for i <= j < n.  With a coloring the blocks carry
+    their twist term, realizing the twisted chain.
     """
     sl = cfg.system.ladder(delta)
     if n > sl.block_count:
         raise ScopeError(f"chain index {n} beyond explored blocks of {delta}")
-    out = FreeElement.single(ygen(delta, 0), Fraction(1, cfg.psi_product(0, n)))
-    for i in range(n):
+    out: dict[Generator, Fraction] = {}
+    weight = 1  # P(i, n), one factor more for each block walked down from n
+    for i in reversed(range(n)):
+        weight *= cfg.psi(i)
         twist = coloring.color(delta, i) if coloring is not None else None
-        blk = block_element(cfg, delta, i, twist)
-        out = out + blk.scale(Fraction(1, cfg.psi_product(i, n)))
-    return out
+        for g, a in block_element(cfg, delta, i, twist).items():
+            out[g] = out.get(g, 0) + a / weight
+    out[ygen(delta, 0)] = Fraction(1, weight)
+    return FreeElement(out)
 
 
 def chain_relation(
@@ -475,9 +479,8 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
                 cfg.system.ladder(delta)
             except KeyError:
                 raise ScopeError(f"{g} indexed outside the ladder system") from None
-            bump(ygen(delta, depth), q * cfg.psi_product(0, depth))
+            p_i = 1  # P(0, i)
             for i in range(depth):
-                p_i = cfg.psi_product(0, i)
                 coeffs = cfg.coeff(delta, i)
                 for a, beta in zip(coeffs, cfg.block_x_indices(delta, i)):
                     bump(xgen(beta), -q * p_i * a)
@@ -485,6 +488,8 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
                     c = coloring.color(delta, i)
                     if c:
                         bump(WGEN, -q * p_i * c)
+                p_i *= cfg.psi(i)
+            bump(ygen(delta, depth), q * p_i)
     return FreeElement(out)
 
 

@@ -28,12 +28,9 @@ from .presentation import (
     GroupConfig,
     ScopeError,
     WGEN,
-    chain_element,
     chain_relation,
     relation_label,
     verify_hom,
-    xgen,
-    ygen,
 )
 from .stages import StageGroup, build_stage
 
@@ -593,13 +590,7 @@ def build_twisted(
 ) -> tuple[TwistedStage, ExactnessReport]:
     twisted = build_stage(cfg, alpha, depth, coloring=coloring)
     untwisted = build_stage(cfg, alpha, depth)
-    images: dict[Generator, FreeElement] = {WGEN: FreeElement()}
-    for beta in twisted.x_indices:
-        images[xgen(beta)] = FreeElement.single(xgen(beta))
-    for dd in twisted.deltas:
-        for n in range(depth + 1):
-            images[ygen(dd, n)] = chain_element(cfg, dd, n)
-    collapse = GeneratorMap(images)
+    collapse = GeneratorMap({**untwisted.realization().images, WGEN: FreeElement()})
     hom = verify_hom(collapse, twisted.formal_relations())
     # The collapse is the identity matrix on the non-twist basis keys and
     # kills the twist generator, so once that diagonal shape is confirmed
@@ -714,17 +705,12 @@ def _seed_search(ts: TwistedStage, colorings, bound: int, lift):
 
 
 def _section_from_offsets(ts: TwistedStage, offsets, lift) -> GeneratorMap:
-    cfg = ts.twisted.cfg
+    """Each untwisted presentation generator to its twisted realization plus
+    its offset times w: the x lift for x[beta], the chain offset for y."""
     images: dict[Generator, FreeElement] = {}
-    for beta in ts.untwisted.x_indices:
-        images[xgen(beta)] = FreeElement.single(xgen(beta)) + FreeElement.single(
-            WGEN, lift.get(beta, 0)
-        )
-    for dd in ts.untwisted.deltas:
-        for n in range(ts.untwisted.depth + 1):
-            images[ygen(dd, n)] = chain_element(
-                cfg, dd, n, ts.coloring
-            ) + FreeElement.single(WGEN, offsets[dd][n])
+    for g in ts.untwisted.presentation_generators():
+        offset = lift.get(g.ordinal, 0) if g.kind == "x" else offsets[g.ordinal][g.index]
+        images[g] = ts.twisted.realize(g) + FreeElement.single(WGEN, offset)
     return GeneratorMap(images)
 
 

@@ -39,11 +39,15 @@ from .presentation import (
 
 @dataclass(frozen=True)
 class StageGroup:
+    """A stage as built by build_stage; chains maps each chain symbol
+    y(delta, n) with n <= depth to its concrete chain element."""
+
     cfg: GroupConfig
     alpha: Ordinal
     depth: int
     coloring: object = None
     x_indices: tuple[Ordinal, ...] = field(default=(), repr=False)
+    chains: dict[Generator, FreeElement] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def deltas(self) -> tuple[Ordinal, ...]:
@@ -71,9 +75,16 @@ class StageGroup:
         ]
 
     def realize(self, key: Generator) -> FreeElement:
-        if key.kind == "y":
-            return chain_element(self.cfg, key.ordinal, key.index, self.coloring)
-        return FreeElement.single(key)
+        if key.kind != "y":
+            return FreeElement.single(key)
+        try:
+            return self.chains[key]
+        except KeyError:
+            raise ScopeError(f"{key} outside the stage") from None
+
+    def realization(self) -> GeneratorMap:
+        """Each presentation generator to its concrete element."""
+        return GeneratorMap({g: self.realize(g) for g in self.presentation_generators()})
 
     def rewrite(self, e: FreeElement) -> FreeElement:
         return stage_rewrite(self.cfg, self.depth, e, self.coloring)
@@ -90,11 +101,12 @@ def build_stage(
     extra_x: tuple[Ordinal, ...] = (),
 ) -> StageGroup:
     """Assemble and verify a stage: every ladder must be explored through
-    `depth` blocks, and every relation must expand to zero through the chain
-    elements before the stage is accepted."""
+    `depth` blocks, and the realization through the closed-form chain
+    elements must kill every relation before the stage is accepted."""
     if depth < 0:
         raise ConfigError(f"stage depth must be non-negative, got {depth}")
     deltas = cfg.system.deltas_below(alpha)
+    xs = set(extra_x)
     for d in deltas:
         sl = cfg.system.ladder(d)
         if sl.block_count < depth:
@@ -104,20 +116,15 @@ def build_stage(
             )
         if coloring is not None and coloring.depth(d) < depth:
             raise ConfigError(f"coloring on {format_ordinal(d)} shallower than stage depth")
-    xs = set()
-    for d in deltas:
-        sl = cfg.system.ladder(d)
         xs.update(sl.entries[: sl.k(depth)])
-    xs.update(extra_x)
+    chains = {ygen(d, n): chain_element(cfg, d, n, coloring)
+              for d in deltas for n in range(depth + 1)}
     stage = StageGroup(cfg, alpha, depth, coloring,
-                       tuple(sorted(xs, key=lambda o: o.terms)))
-    for d in deltas:
-        for n in range(depth):
-            residue = chain_relation(cfg, d, n, coloring, expanded=True)
-            if not residue.is_zero:
-                raise ConfigError(
-                    f"relation {relation_label(d, n)} does not close: {residue}"
-                )
+                       tuple(sorted(xs, key=lambda o: o.terms)), chains)
+    hom = verify_hom(stage.realization(), stage.formal_relations())
+    if not hom.ok:
+        label, residue = hom.failures[0]
+        raise ConfigError(f"relation {label} does not close: {residue}")
     return stage
 
 
@@ -177,7 +184,7 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
     for d in sg.deltas:
         if d < nu:
             for n in range(sg.depth + 1):
-                images[ygen(d, n)] = chain_element(cfg, d, n)
+                images[ygen(d, n)] = sg.realize(ygen(d, n))
             continue
         sl = cfg.system.ladder(d)
         cut = sg.depth

@@ -155,6 +155,67 @@ def test_malformed_check_depth_exits_2(tmp_path, capsys, kind, depth):
     assert "depth: expected a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [5, "w^2+", ["w^2+1"], None])
+@pytest.mark.parametrize("kind", ["build", "project", "equiv", "extend", "obstruct"])
+def test_malformed_check_alpha_exits_2(tmp_path, capsys, kind, alpha):
+    with open(scenario_path("example14-pair.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for chk in raw["checks"]:
+        if chk["check"] == kind:
+            chk["alpha"] = alpha
+    path = tmp_path / "bad-alpha.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([kind, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ".alpha: " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [("w", "levels: expected a list"), ([5], "levels[0]: expected an ordinal"),
+     (["w*3", "w+w"], "levels[1]: non-canonical")],
+)
+def test_malformed_project_levels_exit_2(tmp_path, capsys, levels, message):
+    with open(scenario_path("example14-pair.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for chk in raw["checks"]:
+        if chk["check"] == "project":
+            chk["levels"] = levels
+    path = tmp_path / "bad-levels.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["project", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw["systems"]["pair-src"].update(alpha=5), "systems[pair-src].alpha: expected"),
+        (lambda raw: raw["systems"]["pair-src"]["ladders"][0].update(delta="w^1"),
+         "systems[pair-src].ladders[0].delta: non-canonical"),
+        (lambda raw: raw["colorings"]["c-flip"]["entries"][0].update(delta=2),
+         "colorings[c-flip].entries[0].delta: expected"),
+    ],
+)
+def test_malformed_scenario_ordinal_exits_2(tmp_path, capsys, edit, message):
+    with open(scenario_path("example14-pair.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / "bad-section.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage", ["w^", "w+w", "x"])
+def test_malformed_stage_flag_exits_2(capsys, stage):
+    assert main(["build", scenario_path("example14-pair.json"), "--stage", stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --stage: ") and err.count("\n") == 1
+
+
 def test_negative_default_depth_exits_2(tmp_path, capsys):
     scenario = {
         "systems": {

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from laddergroups import stages
 from laddergroups.ladders import (
     LadderSystem,
     make_block_special,
@@ -11,9 +14,12 @@ from laddergroups.ladders import (
 from laddergroups.ordinals import ZERO, nat, omega_power, parse_ordinal
 from laddergroups.presentation import (
     ConfigError,
+    FactorialPsi,
     FreeElement,
     GroupConfig,
     ScopeError,
+    TablePsi,
+    block_element,
     chain_element,
     generator_level,
     membership,
@@ -21,6 +27,7 @@ from laddergroups.presentation import (
     xgen,
     ygen,
 )
+from laddergroups.splitting import Coloring
 from laddergroups.stages import (
     build_stage,
     filtration_subgroup,
@@ -305,3 +312,81 @@ def test_freeness_with_positive_first_breakpoint():
     fb = freeness_basis(sg, (ygen(W2, 0), xgen(nat(3))))
     assert fb.ok
     assert xgen(nat(3)) in fb.basis
+
+
+def _chain_element_oracle(cfg, delta, n, coloring=None):
+    """The closed form summed block by block, each weight a fresh product
+    psi(i)...psi(n-1)."""
+    out = FreeElement.single(ygen(delta, 0), Fraction(1, cfg.psi_product(0, n)))
+    for i in range(n):
+        twist = coloring.color(delta, i) if coloring is not None else None
+        blk = block_element(cfg, delta, i, twist)
+        out = out + blk.scale(Fraction(1, cfg.psi_product(i, n)))
+    return out
+
+
+@st.composite
+def random_stages(draw):
+    depth = draw(st.integers(0, 5))
+    deltas = draw(st.sampled_from([(W2,), (W2, W2_2)]))
+    alpha = parse_ordinal("w^2*2+1")
+    if draw(st.booleans()):
+        ladders = {d: make_simple_special(d, 6) for d in deltas}
+    else:
+        ladders = {d: make_block_special(d, 6) for d in deltas}
+    sys = LadderSystem.build(alpha, ladders)
+    if draw(st.booleans()):
+        psi = FactorialPsi()
+    else:
+        psi = TablePsi(tuple(draw(st.lists(st.integers(1, 4), min_size=6, max_size=6))))
+    if draw(st.booleans()):
+        cfg = GroupConfig.all_ones(sys, psi)
+    else:
+        cfg = GroupConfig.alternating(sys, psi)
+    coloring = None
+    if draw(st.booleans()):
+        colors = st.lists(st.integers(0, 1), min_size=depth, max_size=depth)
+        coloring = Coloring({d: tuple(draw(colors)) for d in deltas}, 2)
+    return cfg, alpha, depth, coloring
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_stages())
+def test_realize_matches_closed_form(stage_args):
+    cfg, alpha, depth, coloring = stage_args
+    sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    for g in sg.presentation_generators():
+        if g.kind == "y":
+            expect = chain_element(cfg, g.ordinal, g.index, coloring)
+            assert expect == _chain_element_oracle(cfg, g.ordinal, g.index, coloring)
+        else:
+            expect = FreeElement.single(g)
+        assert sg.realize(g) == expect, g
+    # rewriting each seed over the stage basis and realizing it back
+    for d in sg.deltas:
+        seed = FreeElement.single(ygen(d, 0))
+        rebuilt = FreeElement()
+        for key, q in sg.rewrite(seed).items():
+            rebuilt = rebuilt + sg.realize(key).scale(q)
+        assert rebuilt == seed
+
+
+def test_realize_rejects_chain_keys_outside_the_stage():
+    sg = two_delta_stage(depth=4)
+    assert sg.realize(ygen(W2, 4)) == chain_element(sg.cfg, W2, 4)
+    with pytest.raises(ScopeError, match="outside the stage"):
+        sg.realize(ygen(W2, 5))
+    with pytest.raises(ScopeError, match="outside the stage"):
+        sg.realize(ygen(parse_ordinal("w^2*3"), 0))
+
+
+def test_relation_check_sees_a_perturbed_chain_element(monkeypatch):
+    exact = stages.chain_element
+
+    def perturbed(cfg, delta, n, coloring=None):
+        e = exact(cfg, delta, n, coloring)
+        return e + FreeElement.single(xgen(nat(1))) if (delta, n) == (W2_2, 3) else e
+
+    monkeypatch.setattr(stages, "chain_element", perturbed)
+    with pytest.raises(ConfigError, match=r"relation g\[w\^2\*2,2\] does not close"):
+        two_delta_stage(depth=5)
