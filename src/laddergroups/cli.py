@@ -62,6 +62,9 @@ CHECK_MODULES = {
 }
 
 
+VERDICTS = ("OBSTRUCTED", "NOT_OBSTRUCTED", "INCONCLUSIVE")
+
+
 class ScenarioError(ValueError):
     pass
 
@@ -72,8 +75,12 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _is_int(value, least: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int) and value >= least
+def _is_int(value, least: int | None = None) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, int)
+        and (least is None or value >= least)
+    )
 
 
 def _ordinal(value, where: str) -> Ordinal:
@@ -202,10 +209,21 @@ def _build_colorings(spec: dict) -> dict[str, Coloring]:
     for name, c in spec.items():
         where = f"colorings[{name}]"
         palette = c.get("palette", 2)
+        if palette is not None and not _is_int(palette, 1):
+            raise ScenarioError(
+                f"{where}.palette: expected a positive integer or null, got {palette!r}"
+            )
         entries = {}
         for j, row in enumerate(_need(c, "entries", where)):
-            delta = _ordinal(_need(row, "delta", where), f"{where}.entries[{j}].delta")
-            entries[delta] = tuple(row["colors"])
+            rwhere = f"{where}.entries[{j}]"
+            delta = _ordinal(_need(row, "delta", rwhere), f"{rwhere}.delta")
+            colors = _need(row, "colors", rwhere)
+            if not isinstance(colors, list) or not all(_is_int(v, 0) for v in colors):
+                raise ScenarioError(
+                    f"{rwhere}.colors: expected a list of non-negative integers, "
+                    f"got {colors!r}"
+                )
+            entries[delta] = tuple(colors)
         out[name] = Coloring(entries, palette)
     return out
 
@@ -367,6 +385,53 @@ def _check_extend(ctx, chk, where):
     return out
 
 
+def _b_data(spec, system: LadderSystem, rng, where: str):
+    """The x lift of an obstruct check, one integer vector per explored block
+    of every ladder: given as {"values": {delta: [[...], ...]}}, or drawn
+    from [low, high] by {"random": {"low": -9, "high": 9}}."""
+    if not isinstance(spec, dict) or len(spec) != 1 or not spec.keys() <= {"values", "random"}:
+        raise ScenarioError(
+            f'{where}: expected an object with one key, "values" or "random", got {spec!r}'
+        )
+    b_data: dict[tuple[Ordinal, int], tuple[int, ...]] = {}
+    if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, dict):
+            raise ScenarioError(f"{where}.values: expected an object, got {values!r}")
+        given = {_ordinal(k, f"{where}.values"): v for k, v in values.items()}
+        for delta in given:
+            if delta not in system.deltas:
+                raise ScenarioError(
+                    f"{where}.values: no ladder on {format_ordinal(delta)} in the system"
+                )
+        for delta, sl in system.items():
+            vwhere = f"{where}.values[{format_ordinal(delta)}]"
+            vectors = given.get(delta)
+            if not isinstance(vectors, list) or len(vectors) != sl.block_count:
+                raise ScenarioError(
+                    f"{vwhere}: expected a list of {sl.block_count} block vectors, "
+                    f"got {vectors!r}"
+                )
+            for n, vec in enumerate(vectors):
+                if not (isinstance(vec, list) and len(vec) == sl.t(n) and all(map(_is_int, vec))):
+                    raise ScenarioError(
+                        f"{vwhere}[{n}]: expected a list of {sl.t(n)} integers, got {vec!r}"
+                    )
+                b_data[(delta, n)] = tuple(vec)
+        return b_data
+    rand = spec["random"]
+    lo, hi = (rand.get("low", -9), rand.get("high", 9)) if isinstance(rand, dict) else (None, None)
+    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
+        raise ScenarioError(f"{where}.random: expected integers low <= high, got {rand!r}")
+    for delta, sl in system.items():
+        for n in range(sl.block_count):
+            if sl.t(n) == 1:
+                b_data[(delta, n)] = (0,)
+            else:
+                b_data[(delta, n)] = tuple(rng.randint(lo, hi) for _ in range(sl.t(n)))
+    return b_data
+
+
 def _check_obstruct(ctx, chk, where):
     system = _resolve(ctx, "systems", chk, "system", where)
     depth = _depth(chk, ctx, where)
@@ -375,28 +440,13 @@ def _check_obstruct(ctx, chk, where):
     c2 = _resolve(ctx, "colorings", chk, "c2", where)
     psi = _build_psi(chk.get("psi"), where)
     bounds = _bounds(chk, ctx, where)
+    expect = chk.get("expect")
+    if "expect" in chk and expect not in VERDICTS:
+        raise ScenarioError(
+            f"{where}.expect: expected one of {', '.join(VERDICTS)}, got {expect!r}"
+        )
     rng = random.Random(chk.get("seed", ctx["seed"]))
-    b_spec = chk.get("b", {"random": {"low": -9, "high": 9}})
-    explicit_b = (
-        {_ordinal(k, f"{where}.b.values"): v for k, v in b_spec["values"].items()}
-        if isinstance(b_spec, dict) and "values" in b_spec
-        else None
-    )
-    b_data: dict[tuple[Ordinal, int], tuple[int, ...]] = {}
-    for delta, sl in system.items():
-        if explicit_b is not None:
-            for n, vec in enumerate(explicit_b[delta]):
-                b_data[(delta, n)] = tuple(vec)
-        else:
-            lo = b_spec.get("random", {}).get("low", -9)
-            hi = b_spec.get("random", {}).get("high", 9)
-            for n in range(sl.block_count):
-                if sl.t(n) == 1:
-                    b_data[(delta, n)] = (0,)
-                else:
-                    b_data[(delta, n)] = tuple(
-                        rng.randint(lo, hi) for _ in range(sl.t(n))
-                    )
+    b_data = _b_data(chk.get("b", {"random": {}}), system, rng, f"{where}.b")
     cfg = GroupConfig.from_rule(
         system, psi, lambda d, n, t: choose_annihilator(b_data[(d, n)])
     )
@@ -410,9 +460,9 @@ def _check_obstruct(ctx, chk, where):
         "searches": [list(s) for s in verdict.searches],
         "notes": list(verdict.notes),
     }
-    if "expect" in chk:
-        result["expected"] = chk["expect"]
-        result["ok"] = verdict.status == chk["expect"]
+    if expect is not None:
+        result["expected"] = expect
+        result["ok"] = verdict.status == expect
     if chk.get("zero_splits"):
         from .splitting import build_twisted, zero_coloring
 

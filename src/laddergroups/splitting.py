@@ -166,8 +166,13 @@ def _ensure_prime_count(k: int) -> None:
     candidate = _PRIMES[-1]
     while len(_PRIMES) <= k:
         candidate += 2
-        if all(candidate % p for p in _PRIMES if p * p <= candidate):
-            _PRIMES.append(candidate)
+        # Stop at the first prime above sqrt(candidate); the list holds one.
+        for p in _PRIMES:
+            if p * p > candidate:
+                _PRIMES.append(candidate)
+                break
+            if candidate % p == 0:
+                break
 
 
 def _nth_prime(k: int) -> int:
@@ -585,19 +590,25 @@ class ExactnessReport:
         )
 
 
+def _twisted_stage(twisted: StageGroup, untwisted: StageGroup) -> TwistedStage:
+    """The twisted stage with its collapse: untwisted realization, w to 0."""
+    collapse = GeneratorMap({**untwisted.realization().images, WGEN: FreeElement()})
+    return TwistedStage(twisted, untwisted, collapse, twisted.coloring)
+
+
 def build_twisted(
     cfg: GroupConfig, coloring: Coloring, alpha: Ordinal, depth: int
 ) -> tuple[TwistedStage, ExactnessReport]:
     twisted = build_stage(cfg, alpha, depth, coloring=coloring)
     untwisted = build_stage(cfg, alpha, depth)
-    collapse = GeneratorMap({**untwisted.realization().images, WGEN: FreeElement()})
-    hom = verify_hom(collapse, twisted.formal_relations())
+    ts = _twisted_stage(twisted, untwisted)
+    hom = verify_hom(ts.collapse, twisted.formal_relations())
     # The collapse is the identity matrix on the non-twist basis keys and
     # kills the twist generator, so once that diagonal shape is confirmed
     # the kernel is exactly the twist line and every target key is hit.
     diagonal = True
     for key in twisted.stage_basis():
-        img = collapse.apply(FreeElement.single(key))
+        img = ts.collapse.apply(FreeElement.single(key))
         if key.kind == "w":
             diagonal = diagonal and img.is_zero
         else:
@@ -607,7 +618,7 @@ def build_twisted(
     }
     pure = twisted.membership(FreeElement.single(WGEN)).pure_multiple == 1
     report = ExactnessReport(hom.ok, diagonal, pure, surjective)
-    return TwistedStage(twisted, untwisted, collapse, coloring), report
+    return ts, report
 
 
 # ---------------------------------------------------------------------------
@@ -655,51 +666,45 @@ class SearchResult:
     candidates_tried: int
 
 
-def _seed_scan(bound: int):
-    yield 0
-    for v in range(1, bound + 1):
-        yield v
-        yield -v
+def _nearest_member(residue: int, modulus: int, lo: int, hi: int) -> int | None:
+    """The member of residue mod modulus in [lo, hi] nearest 0, positive first, or None."""
+    up = max(lo, 0) + (residue - max(lo, 0)) % modulus
+    down = min(hi, -1) - (min(hi, -1) - residue) % modulus
+    if up <= hi and (down < lo or up <= -down):
+        return up
+    return down if down >= lo else None
 
 
-def _chain_offsets(cfg, coloring, dd, depth, d0, lift) -> list[int] | None:
-    """Propagate the section offset chain from a seed; None when it leaves
-    the integers or the bound box."""
-    sl = cfg.system.ladder(dd)
-    d = [d0]
-    for n in range(depth):
-        shift = sum(
-            a * lift.get(beta, 0)
-            for a, beta in zip(cfg.coeff(dd, n), sl.block_values(n))
-        )
-        num = d[-1] + shift - coloring.color(dd, n)
-        psi = cfg.psi(n)
-        if num % psi:
-            return None
-        d.append(num // psi)
-    return d
-
-
-def _seed_search(ts: TwistedStage, colorings, bound: int, lift):
-    """Scan the seed offset of each delta's chain of ts in the order 0, 1,
-    -1, 2, ... and keep the first seed whose offset chains under every
-    coloring stay integral and inside [-bound, bound].
-
-    Returns the result without a section, and the chain under the first
-    coloring for each delta that found a seed.
+def _seed_search(stage: StageGroup, colorings, bound: int, lift):
+    """Solve each delta's section chain psi(n)*d(n+1) = d(n) + shift(n) -
+    color(n) for its seed.  P(n)*d(n) = d(0) + S(n) with P(n) = psi(0)...
+    psi(n-1) and S(n) = sum_{i<n} P(i)*(shift(i) - color(i)), so the seeds
+    keeping every step integral form the class -S(depth) mod P(depth) (P(n)
+    divides every later P(i)) and |d(n)| <= bound cuts it to an interval.
+    The seed taken under all colorings is the member nearest 0, positive
+    first, which a scan 0, 1, -1, 2, ... meets first; candidates_tried counts
+    that scan's positions, 2*bound+1 for a delta without a seed.  Returns the
+    result without a section and, per solved delta, the first coloring's chain.
     """
-    cfg, depth = ts.twisted.cfg, ts.twisted.depth
+    cfg = stage.cfg
     offsets: dict[Ordinal, list[int]] = {}
     tried = 0
-    for dd in ts.twisted.deltas:
-        for d0 in _seed_scan(bound):
-            tried += 1
-            chains = [_chain_offsets(cfg, c, dd, depth, d0, lift) for c in colorings]
-            if all(ch is not None and all(abs(v) <= bound for v in ch) for ch in chains):
-                offsets[dd] = chains[0]
-                break
-        else:
+    for dd in stage.deltas:
+        prods, sums = [1], [[0] for _ in colorings]
+        for n in range(stage.depth):
+            blocks = zip(cfg.coeff(dd, n), cfg.block_x_indices(dd, n))
+            shift = sum(a * lift.get(beta, 0) for a, beta in blocks)
+            for c, s in zip(colorings, sums):
+                s.append(s[n] + prods[n] * (shift - c.color(dd, n)))
+            prods.append(prods[n] * cfg.psi(n))
+        lo = max(-bound * p - s[n] for s in sums for n, p in enumerate(prods))
+        hi = min(bound * p - s[n] for s in sums for n, p in enumerate(prods))
+        residues = {-s[-1] % prods[-1] for s in sums}
+        d0 = _nearest_member(residues.pop(), prods[-1], lo, hi) if len(residues) == 1 else None
+        tried += 2 * bound + 1 if d0 is None else 2 * abs(d0) + (d0 <= 0)
+        if d0 is None:
             return SearchResult(False, bound, (), None, format_ordinal(dd), tried), offsets
+        offsets[dd] = [(d0 + s) // p for p, s in zip(prods, sums[0])]
     seeds = tuple((format_ordinal(dd), chain[0]) for dd, chain in offsets.items())
     return SearchResult(True, bound, seeds, None, None, tried), offsets
 
@@ -720,12 +725,12 @@ def splitting_search(
     """Search for a section of the twisted stage with all twist offsets in
     [-bound, bound], the x lift being held fixed.
 
-    Chains decouple per delta, so the seed offset of each chain is scanned
-    independently; a feasible assignment yields a verified section and a
-    full scan without one is an exhaustion certificate for this bound.
+    Chains decouple per delta, so the seed offset of each chain is solved
+    independently; a feasible assignment yields a verified section and an
+    empty seed set is an exhaustion certificate for this bound.
     """
     lift = x_lift or {}
-    result, offsets = _seed_search(ts, [ts.coloring], bound, lift)
+    result, offsets = _seed_search(ts.twisted, [ts.coloring], bound, lift)
     if not result.found:
         return result
     section = _section_from_offsets(ts, offsets, lift)
@@ -747,7 +752,7 @@ def splitting_search_pair(
     """Joint section search for two twisted stages over the same group with
     a shared x lift and shared seed offsets, the finitary reading of the
     two-filter argument."""
-    return _seed_search(ts1, [ts1.coloring, ts2.coloring], bound, x_lift or {})[0]
+    return _seed_search(ts1.twisted, [ts1.coloring, ts2.coloring], bound, x_lift or {})[0]
 
 
 @dataclass(frozen=True)
@@ -783,22 +788,20 @@ def parity_obstruction(
         sl = cfg.system.ladder(dd)
         for n in range(depth):
             vec = b_data.get((dd, n), (0,) * sl.t(n))
-            coeffs = cfg.coeff(dd, n)
             if len(vec) != sl.t(n):
                 raise ConfigError(f"x lift for block ({format_ordinal(dd)},{n}) has wrong length")
-            if sum(a * b for a, b in zip(coeffs, vec)):
+            if sum(a * b for a, b in zip(cfg.coeff(dd, n), vec)):
                 raise ConfigError(
                     f"x lift at ({format_ordinal(dd)},{n}) is not annihilated by "
                     "the block coefficients; use choose_annihilator"
                 )
             for beta, b in zip(sl.block_values(n), vec):
                 lift[beta] = b
-    nstar = None
-    for dd in cfg.system.deltas:
-        for n in range(depth):
-            if c1.color(dd, n) != c2.color(dd, n):
-                nstar = n if nstar is None else min(nstar, n)
-                break
+    nstar = min(
+        (n for dd in cfg.system.deltas for n in range(depth)
+         if c1.color(dd, n) != c2.color(dd, n)),
+        default=None,
+    )
     traces = []
     witness = None
     obstructed_at = None
@@ -834,8 +837,9 @@ def parity_obstruction(
         status = "INCONCLUSIVE"
         notes.append("color differences absorbed by the psi chain")
     searches = []
-    ts1, _ = build_twisted(cfg, c1, alpha, depth)
-    ts2, _ = build_twisted(cfg, c2, alpha, depth)
+    untwisted = build_stage(cfg, alpha, depth)
+    ts1, ts2 = (_twisted_stage(build_stage(cfg, alpha, depth, coloring=c), untwisted)
+                for c in (c1, c2))
     for bound in bounds:
         result = splitting_search_pair(ts1, ts2, bound, lift)
         searches.append(
@@ -847,10 +851,5 @@ def parity_obstruction(
                 "algebraic obstruction contradicted by a bounded section pair"
             )
     return ObstructionVerdict(
-        status,
-        nstar,
-        witness,
-        tuple(traces),
-        tuple(searches),
-        tuple(notes),
+        status, nstar, witness, tuple(traces), tuple(searches), tuple(notes)
     )

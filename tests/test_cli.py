@@ -196,6 +196,25 @@ def test_malformed_project_levels_exit_2(tmp_path, capsys, levels, message):
          "systems[pair-src].ladders[0].delta: non-canonical"),
         (lambda raw: raw["colorings"]["c-flip"]["entries"][0].update(delta=2),
          "colorings[c-flip].entries[0].delta: expected"),
+        (lambda raw: raw["colorings"]["c-flip"]["entries"][0].pop("colors"),
+         "colorings[c-flip].entries[0]: missing required field 'colors'"),
+        (lambda raw: raw["colorings"]["c-flip"]["entries"][0].update(colors=["0"] * 16),
+         "colorings[c-flip].entries[0].colors: expected a list of non-negative"),
+        (lambda raw: raw["colorings"]["c-flip"].update(palette="2"),
+         "colorings[c-flip].palette: expected a positive integer or null"),
+        (lambda raw: raw["checks"][7].update(b={"values": {}}),
+         "checks[7].b.values[w^2*1]: expected a list of 8 block vectors"),
+        (lambda raw: raw["checks"][7].update(b={"values": {"w^2": [[3, 6]] * 3}}),
+         "checks[7].b.values[w^2*1]: expected a list of 8 block vectors"),
+        (lambda raw: raw["checks"][7].update(b={"values": {"w^2": [[3, "6"]] * 8}}),
+         "checks[7].b.values[w^2*1][0]: expected a list of 2 integers"),
+        (lambda raw: raw["checks"][7].update(b=5), "checks[7].b: expected an object"),
+        (lambda raw: raw["checks"][7]["b"]["values"].update({"w^2*5": [[3, 6]]}),
+         "checks[7].b.values: no ladder on w^2*5"),
+        (lambda raw: raw["checks"][7].update(b={"random": {"low": "a"}}),
+         "checks[7].b.random: expected integers low <= high"),
+        (lambda raw: raw["checks"][7].update(expect="MAYBE"),
+         "checks[7].expect: expected one of OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE"),
     ],
 )
 def test_malformed_scenario_ordinal_exits_2(tmp_path, capsys, edit, message):

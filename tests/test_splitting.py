@@ -1,20 +1,23 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from laddergroups.equivalence import disjointify
 from laddergroups.ladders import LadderSystem, make_block_special, prefix_special
-from laddergroups.ordinals import omega_power, parse_ordinal
-from laddergroups.presentation import ConfigError, GroupConfig, WGEN
+from laddergroups.ordinals import format_ordinal, omega_power, parse_ordinal
+from laddergroups.presentation import ConfigError, GroupConfig, TablePsi, WGEN
 from laddergroups.splitting import (
     Coloring,
     ExtensionError,
     ExtensionHom,
     IntegerTarget,
     MarkedBasisTarget,
+    SearchResult,
     UniformizationData,
     UniformizationError,
+    _seed_search,
     build_twisted,
     choose_annihilator,
     extend_hom,
@@ -26,7 +29,7 @@ from laddergroups.splitting import (
     splitting_search_pair,
     zero_coloring,
 )
-from laddergroups.stages import build_stage
+from laddergroups.stages import StageGroup, build_stage
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -363,8 +366,12 @@ def test_pair_search_monotone_exhaustion():
     c1 = Coloring({W2: (0, 0, 1) + (0,) * 13}, 2)
     ts1, _ = build_twisted(cfg, c1, sys.alpha, 8)
     ts2, _ = build_twisted(cfg, zero_coloring(sys, 16), sys.alpha, 8)
-    for bound in (1, 5, 25):
-        assert not splitting_search_pair(ts1, ts2, bound, lift).found
+    # 10**12 is far past what a seed scan could try; the solver's count
+    # still matches it.
+    for bound in (1, 5, 25, 10**12):
+        res = splitting_search_pair(ts1, ts2, bound, lift)
+        assert not res.found and res.failing_delta == "w^2*1"
+        assert res.candidates_tried == 2 * bound + 1
 
 
 def test_single_stage_with_searched_seed_can_split_where_pair_cannot():
@@ -413,3 +420,114 @@ def test_recover_requires_tree_like_system():
     from laddergroups.presentation import ScopeError
     with pytest.raises(ScopeError, match="tree-like"):
         recover_uniformization(sg, c, hom)
+
+
+# ---------------------------------------------------------------------------
+# the seed scan, kept as the oracle of the closed-form seed solver
+
+
+def _seed_scan_oracle(bound):
+    yield 0
+    for v in range(1, bound + 1):
+        yield v
+        yield -v
+
+
+def _chain_offsets_oracle(cfg, coloring, dd, depth, d0, lift):
+    """Propagate the section offset chain from a seed; None when it leaves
+    the integers."""
+    sl = cfg.system.ladder(dd)
+    d = [d0]
+    for n in range(depth):
+        shift = sum(
+            a * lift.get(beta, 0)
+            for a, beta in zip(cfg.coeff(dd, n), sl.block_values(n))
+        )
+        num = d[-1] + shift - coloring.color(dd, n)
+        psi = cfg.psi(n)
+        if num % psi:
+            return None
+        d.append(num // psi)
+    return d
+
+
+def seed_search_oracle(stage, colorings, bound, lift):
+    """Scan the seed offset of each delta's chain in the order 0, 1, -1, 2,
+    ... and keep the first seed whose offset chains under every coloring
+    stay integral and inside [-bound, bound]."""
+    cfg, depth = stage.cfg, stage.depth
+    offsets = {}
+    tried = 0
+    for dd in stage.deltas:
+        for d0 in _seed_scan_oracle(bound):
+            tried += 1
+            chains = [_chain_offsets_oracle(cfg, c, dd, depth, d0, lift) for c in colorings]
+            if all(ch is not None and all(abs(v) <= bound for v in ch) for ch in chains):
+                offsets[dd] = chains[0]
+                break
+        else:
+            return SearchResult(False, bound, (), None, format_ordinal(dd), tried), offsets
+    seeds = tuple((format_ordinal(dd), chain[0]) for dd, chain in offsets.items())
+    return SearchResult(True, bound, seeds, None, None, tried), offsets
+
+
+@st.composite
+def seed_problems(draw, max_depth=6):
+    """A group with a psi table containing 1s, blocks of 1-3 entries, one or
+    two ladders, an x lift, one or two colorings and a bound."""
+    depth = draw(st.integers(0, max_depth))
+    deltas = draw(st.sampled_from([(W2,), (W2_2,), (W2, W2_2)]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    offsets = tuple(tuple(range(1, t + 1)) for t in sizes)
+    blocks = max(depth, 1)
+    sys = LadderSystem.build(ALPHA, {d: make_block_special(d, blocks, offsets) for d in deltas})
+    psi = TablePsi(tuple(draw(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3]),
+                                       min_size=depth, max_size=depth))))
+    coeffs = {}
+    for d, sl in sys.items():
+        for n in range(sl.block_count):
+            vec = [1] + draw(st.lists(st.integers(-3, 3), min_size=sl.t(n) - 1,
+                                      max_size=sl.t(n) - 1))
+            coeffs[(d, n)] = tuple(draw(st.permutations(vec)))
+    cfg = GroupConfig(sys, psi, coeffs)
+    lift = {
+        beta: draw(st.integers(-2, 2))
+        for d, sl in sys.items()
+        for n in range(sl.block_count)
+        for beta in sl.block_values(n)
+    }
+    colors = st.lists(st.integers(0, 2), min_size=depth, max_size=depth)
+    c1 = Coloring({d: tuple(draw(colors)) for d in deltas}, None)
+    colorings = draw(st.sampled_from([
+        [c1],
+        [c1, c1],
+        [c1, Coloring({d: tuple(draw(colors)) for d in deltas}, None)],
+        [c1, Coloring({d: c1.entries[d][:-1] + (0,) for d in deltas} if depth else {}, None)],
+    ]))
+    return cfg, depth, colorings, lift, draw(st.integers(0, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed_problems())
+def test_seed_solver_matches_scan(problem):
+    cfg, depth, colorings, lift, bound = problem
+    stage = StageGroup(cfg, ALPHA, depth)
+    assert _seed_search(stage, colorings, bound, lift) == seed_search_oracle(
+        stage, colorings, bound, lift
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed_problems(max_depth=4))
+def test_section_searches_match_scan(problem):
+    cfg, depth, colorings, lift, bound = problem
+    ts1, ex = build_twisted(cfg, colorings[0], ALPHA, depth)
+    assert ex.ok
+    got = splitting_search(ts1, bound, lift)
+    want, _ = seed_search_oracle(ts1.twisted, colorings[:1], bound, lift)
+    assert replace(got, section=None) == want
+    assert got.found == (got.section is not None)
+    if len(colorings) == 2:
+        ts2, _ = build_twisted(cfg, colorings[1], ALPHA, depth)
+        want, _ = seed_search_oracle(ts1.twisted, colorings, bound, lift)
+        assert splitting_search_pair(ts1, ts2, bound, lift) == want
