@@ -1,10 +1,13 @@
 """Scenario ingestion and deterministic verification reports.
 
 A scenario file is JSON with four sections: named ladder systems, named
-group configurations, named colorings, and a list of checks.  Checks run in
-declaration order; the report is canonical (sorted keys, stable ordering,
-no timestamps) so reruns are byte-identical.  Exit status is 0 exactly when
-every requested check passes.
+group configurations, named colorings, and a list of checks.  The whole file
+is checked before any check runs, whatever the verb: a field of the wrong
+type, sign or range, an unknown reference, a repeated delta or a repeated
+key is a ``ScenarioError`` naming it as ``section[name].field[index]``.
+Checks then run in declaration order; the report is canonical (sorted keys,
+stable ordering, no timestamps) so reruns are byte-identical.  Exit status
+is 0 exactly when every requested check passes.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .splitting import (
     Coloring,
     IntegerTarget,
     MarkedBasisTarget,
+    build_twisted,
     choose_annihilator,
     extend_hom,
     greedy_uniformize,
@@ -46,6 +50,7 @@ from .splitting import (
     parity_obstruction,
     recover_uniformization,
     splitting_search,
+    zero_coloring,
 )
 from .stages import build_stage, projection
 
@@ -69,195 +74,250 @@ class ScenarioError(ValueError):
     pass
 
 
-def _need(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+# ---------------------------------------------------------------------------
+# the field reader: a kind is a function (value, where) -> parsed value that
+# raises ScenarioError, naming `where`, for a value it rejects
+
+
+def _fail(where: str, what: str, value):
+    raise ScenarioError(f"{where}: expected {what}, got {value!r}")
 
 
 def _is_int(value, least: int | None = None) -> bool:
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, int)
-        and (least is None or value >= least)
-    )
+    # type(), not isinstance(): JSON's true and false are bools, and bool is an int
+    return type(value) is int and (least is None or value >= least)
 
 
-def _ordinal(value, where: str) -> Ordinal:
-    """An ordinal literal from scenario input."""
+def _ints(value, least: int | None = None) -> bool:
+    return isinstance(value, list) and all(_is_int(v, least) for v in value)
+
+
+def _expect(what: str, test, convert=None):
+    """The kind of the values that pass `test`, read through `convert`."""
+
+    def kind(value, where):
+        if not test(value):
+            _fail(where, what, value)
+        return convert(value) if convert else value
+
+    return kind
+
+
+def _is_lift(value) -> bool:
+    return isinstance(value, dict) and len(value) == 1 and value.keys() <= {"values", "random"}
+
+
+INT = _expect("an integer", _is_int)
+NAT = _expect("a non-negative integer", lambda v: _is_int(v, 0))
+POS = _expect("a positive integer", lambda v: _is_int(v, 1))
+BOOL = _expect("true or false", lambda v: isinstance(v, bool))
+STRING = _expect("a string", lambda v: isinstance(v, str))
+OBJECT = _expect("an object", lambda v: isinstance(v, dict))
+LIST = _expect("a list", lambda v: isinstance(v, list))
+INTS = _expect("a list of integers", _ints)
+NATS = _expect("a list of non-negative integers", lambda v: _ints(v, 0), tuple)
+POSITIVES = _expect("a list of positive integers", lambda v: _ints(v, 1), tuple)
+INT_LISTS = _expect(
+    "a list of integer lists",
+    lambda v: isinstance(v, list) and all(map(_ints, v)),
+    lambda v: tuple(map(tuple, v)),
+)
+BOUNDS = _expect("a non-empty list of non-negative integers", lambda v: v and _ints(v, 0), tuple)
+DECIMAL = _expect("a non-negative integer", lambda v: v.strip().isdecimal(), int)
+PALETTE = _expect("a positive integer or null", lambda v: v is None or _is_int(v, 1))
+PSI = _expect(
+    '"factorial" or a list of positive integers',
+    lambda v: v == "factorial" or _ints(v, 1),
+    lambda v: FactorialPsi() if v == "factorial" else TablePsi(tuple(v)),
+)
+COEFFS = _expect(
+    '"ones", "alternating" or an object',
+    lambda v: v in ("ones", "alternating") or isinstance(v, dict),
+)
+LIFT = _expect('an object with one key, "values" or "random"', _is_lift)
+PHI = _expect(
+    '"unit" or an object with one key, "values" or "random"',
+    lambda v: v == "unit" or _is_lift(v),
+)
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def ORDINAL(value, where):
     if not isinstance(value, str):
-        raise ScenarioError(f"{where}: expected an ordinal literal, got {value!r}")
+        _fail(where, "an ordinal literal", value)
     try:
         return parse_ordinal(value)
     except OrdinalParseError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _alpha(chk: dict, ctx: dict, where: str, system: LadderSystem) -> Ordinal:
-    """The check's stage level, else the run's --stage, else the system's."""
-    if "alpha" in chk:
-        return _ordinal(chk["alpha"], f"{where}.alpha")
-    return ctx["stage"] or system.alpha
+def ORDINALS(value, where):
+    return tuple(ORDINAL(v, f"{where}[{i}]") for i, v in enumerate(LIST(value, where)))
 
 
-def _depth(chk: dict, ctx: dict, where: str) -> int:
-    """The check's chain depth, or the run's default; a non-negative int."""
-    depth = chk.get("depth", ctx["depth"])
-    if not _is_int(depth, 0):
-        raise ScenarioError(
-            f"{where}.depth: expected a non-negative integer, got {depth!r}"
-        )
-    return depth
+def _one_of(pool):
+    """The kind of the names in `pool`: a key of a dict reads as its value,
+    a member of a tuple as itself."""
+
+    def kind(value, where):
+        if not (isinstance(value, str) and value in pool):
+            _fail(where, f"one of {', '.join(pool) or '(none defined)'}", value)
+        return pool[value] if isinstance(pool, dict) else value
+
+    return kind
 
 
-def _bounds(chk: dict, ctx: dict, where: str) -> tuple[int, ...]:
-    """The check's search bounds, or the run's default bound; a non-empty
-    list of non-negative ints."""
-    bounds = chk.get("bounds", [ctx["bound"]])
-    if not isinstance(bounds, list) or not bounds or not all(_is_int(b, 0) for b in bounds):
-        raise ScenarioError(
-            f"{where}.bounds: expected a non-empty list of non-negative "
-            f"integers, got {bounds!r}"
-        )
-    return tuple(bounds)
+def _delta(value, where: str, seen, system: LadderSystem | None = None):
+    """An ordinal literal for a delta not in `seen` and, given a system, one
+    with a ladder in it."""
+    delta = ORDINAL(value, where)
+    if delta in seen:
+        raise ScenarioError(f"{where}: delta {format_ordinal(delta)} given twice")
+    if system is not None and delta not in system.deltas:
+        raise ScenarioError(f"{where}: no ladder on {format_ordinal(delta)} in the system")
+    return delta
 
 
-def _build_systems(spec: dict) -> dict[str, LadderSystem]:
+def _low_high(value, where):
+    """The [low, high] range of a random draw; low and high default to -9, 9."""
+    if isinstance(value, dict):
+        lo, hi = value.get("low", -9), value.get("high", 9)
+        if _is_int(lo) and _is_int(hi) and lo <= hi:
+            return lo, hi
+    _fail(where, "integers low <= high", value)
+
+
+def _get(obj: dict, key: str, where: str, kind, default=_REQUIRED):
+    """Field `key` of the JSON object at `where`, read by `kind`.
+
+    A missing field is an error unless it has a default.  A default of None
+    stands for "not given" and is returned as it is; any other default is
+    read by `kind` too, so the run-wide defaults (`--bound`, `--depth`) are
+    checked wherever a check falls back on them."""
+    path = f"{where}.{key}" if where else key
+    if key in obj:
+        return kind(obj[key], path)
+    if default is _REQUIRED:
+        raise ScenarioError(f"{where}: missing required field {key!r}")
+    return default if default is None else kind(default, path)
+
+
+def _each(obj: dict, key: str, where: str, kind, default=_REQUIRED):
+    """(key, path, object) for each object of the list (kind LIST) or of the
+    section (kind OBJECT) in field `key`."""
+    path = f"{where}.{key}" if where else key
+    items = _get(obj, key, where, kind, default)
+    for k, item in items.items() if isinstance(items, dict) else enumerate(items):
+        yield k, f"{path}[{k}]", OBJECT(item, f"{path}[{k}]")
+
+
+def _by_delta(obj: dict, key: str, where: str, system: LadderSystem, kind) -> dict:
+    """Field `key`: an object keyed by ordinal literals, one per ladder of
+    `system` at most, with each value read by `kind`."""
+    path = f"{where}.{key}"
+    out = {}
+    for lit, value in _get(obj, key, where, OBJECT).items():
+        delta = _delta(lit, path, out, system)
+        out[delta] = kind(value, f"{path}[{format_ordinal(delta)}]")
+    return out
+
+
+def _values_or_random(spec: dict, where: str, system: LadderSystem, kind):
+    """(values, None) for {"values": {delta: ...}}, each value read by
+    `kind`, or (None, (low, high)) for {"random": {"low": .., "high": ..}}."""
+    if "random" in spec:
+        return None, _get(spec, "random", where, _low_high)
+    return _by_delta(spec, "values", where, system, kind), None
+
+
+def _build_systems(raw: dict) -> dict[str, LadderSystem]:
     systems: dict[str, LadderSystem] = {}
-    for name, sys_spec in spec.items():
-        where = f"systems[{name}]"
-        if "companion_of" in sys_spec:
-            src_name = sys_spec["companion_of"]
-            if src_name not in systems:
-                raise ScenarioError(f"{where}: unknown source system {src_name!r}")
-            src = systems[src_name]
-            sizes = _need(sys_spec, "block_sizes", where)
-            ladders = {}
-            for delta_lit, size_list in sizes.items():
-                delta = _ordinal(delta_lit, f"{where}.block_sizes")
-                ladders[delta] = companion_same_range(
-                    src.ladder(delta), tuple(size_list)
-                )
+    for name, where, spec in _each(raw, "systems", "", OBJECT, {}):
+        if "companion_of" in spec:
+            src = _get(spec, "companion_of", where, _one_of(systems))
+            sizes = _by_delta(spec, "block_sizes", where, src, POSITIVES)
+            ladders = {d: companion_same_range(src.ladder(d), s) for d, s in sizes.items()}
             systems[name] = LadderSystem.build(src.alpha, ladders)
             continue
-        alpha = _ordinal(_need(sys_spec, "alpha", where), f"{where}.alpha")
+        alpha = _get(spec, "alpha", where, ORDINAL)
         ladders = {}
-        for i, lad in enumerate(_need(sys_spec, "ladders", where)):
-            lwhere = f"{where}.ladders[{i}]"
-            delta = _ordinal(_need(lad, "delta", lwhere), f"{lwhere}.delta")
+        for _, lwhere, lad in _each(spec, "ladders", where, LIST):
+            delta = _get(lad, "delta", lwhere, lambda v, w: _delta(v, w, ladders))
             if "entries" in lad:
-                entries = tuple(
-                    _ordinal(e, f"{lwhere}.entries[{j}]") for j, e in enumerate(lad["entries"])
-                )
-                bps = tuple(lad["breakpoints"]) if "breakpoints" in lad else None
-                ladders[delta] = prefix_special(delta, entries, bps)
+                bps = _get(lad, "breakpoints", lwhere, NATS, None)
+                ladders[delta] = prefix_special(delta, _get(lad, "entries", lwhere, ORDINALS), bps)
+                continue
+            family = _get(lad, "family", lwhere, _one_of(("simple", "blocks")), "simple")
+            blocks = _get(lad, "blocks", lwhere, POS)
+            offsets = _get(lad, "offsets", lwhere, INT_LISTS, [[1, 2]])
+            if family == "simple":
+                ladders[delta] = make_simple_special(delta, blocks)
             else:
-                family = lad.get("family", "simple")
-                blocks = _need(lad, "blocks", lwhere)
-                if family == "simple":
-                    ladders[delta] = make_simple_special(delta, blocks)
-                elif family == "blocks":
-                    offsets = tuple(
-                        tuple(block) for block in lad.get("offsets", [[1, 2]])
-                    )
-                    ladders[delta] = make_block_special(delta, blocks, offsets)
-                else:
-                    raise ScenarioError(f"{lwhere}: unknown family {family!r}")
+                ladders[delta] = make_block_special(delta, blocks, offsets)
         systems[name] = LadderSystem.build(alpha, ladders)
     return systems
 
 
-def _build_psi(spec, where: str):
-    if spec is None or spec == "factorial":
-        return FactorialPsi()
-    if isinstance(spec, list) and all(_is_int(v, 1) for v in spec):
-        return TablePsi(tuple(spec))
-    raise ScenarioError(
-        f'{where}.psi: expected "factorial" or a list of positive integers, '
-        f"got {spec!r}"
-    )
-
-
-def _build_groups(spec: dict, systems: dict) -> dict[str, GroupConfig]:
+def _build_groups(raw: dict, systems: dict) -> dict[str, GroupConfig]:
     groups = {}
-    for name, g in spec.items():
-        where = f"groups[{name}]"
-        sys_name = _need(g, "system", where)
-        if sys_name not in systems:
-            raise ScenarioError(f"{where}: unknown system {sys_name!r}")
-        system = systems[sys_name]
-        psi = _build_psi(g.get("psi"), where)
-        coeffs = g.get("coeffs", "ones")
+    for name, where, g in _each(raw, "groups", "", OBJECT, {}):
+        system = _get(g, "system", where, _one_of(systems))
+        psi = _get(g, "psi", where, PSI, "factorial")
+        coeffs = _get(g, "coeffs", where, COEFFS, "ones")
         if coeffs == "ones":
             groups[name] = GroupConfig.all_ones(system, psi)
         elif coeffs == "alternating":
             groups[name] = GroupConfig.alternating(system, psi)
-        elif isinstance(coeffs, dict):
-            table = {}
-            for delta_lit, vectors in coeffs.items():
-                delta = _ordinal(delta_lit, f"{where}.coeffs")
-                for n, vec in enumerate(vectors):
-                    table[(delta, n)] = tuple(vec)
-            groups[name] = GroupConfig(system, psi, table)
         else:
-            raise ScenarioError(f"{where}: unknown coeffs selector {coeffs!r}")
+            table = _by_delta(g, "coeffs", where, system, INT_LISTS)
+            groups[name] = GroupConfig(system, psi, {
+                (delta, n): vec for delta, vecs in table.items() for n, vec in enumerate(vecs)
+            })
     return groups
 
 
-def _build_colorings(spec: dict) -> dict[str, Coloring]:
+def _build_colorings(raw: dict) -> dict[str, Coloring]:
     out = {}
-    for name, c in spec.items():
-        where = f"colorings[{name}]"
-        palette = c.get("palette", 2)
-        if palette is not None and not _is_int(palette, 1):
-            raise ScenarioError(
-                f"{where}.palette: expected a positive integer or null, got {palette!r}"
-            )
+    for name, where, c in _each(raw, "colorings", "", OBJECT, {}):
+        palette = _get(c, "palette", where, PALETTE, 2)
         entries = {}
-        for j, row in enumerate(_need(c, "entries", where)):
-            rwhere = f"{where}.entries[{j}]"
-            delta = _ordinal(_need(row, "delta", rwhere), f"{rwhere}.delta")
-            colors = _need(row, "colors", rwhere)
-            if not isinstance(colors, list) or not all(_is_int(v, 0) for v in colors):
-                raise ScenarioError(
-                    f"{rwhere}.colors: expected a list of non-negative integers, "
-                    f"got {colors!r}"
-                )
-            entries[delta] = tuple(colors)
+        for _, rwhere, row in _each(c, "entries", where, LIST):
+            delta = _get(row, "delta", rwhere, lambda v, w: _delta(v, w, entries))
+            entries[delta] = _get(row, "colors", rwhere, NATS)
         out[name] = Coloring(entries, palette)
     return out
 
 
 # ---------------------------------------------------------------------------
-# check runners
+# check runners: generators that read and check every field of their check
+# up to their `yield`, and run it and return its result after
+
+
+def _stage(ctx, chk, where, system: LadderSystem) -> tuple[int, Ordinal]:
+    """The check's chain depth and stage level.  The level is the check's
+    alpha, else the run's --stage, else the system's."""
+    depth = _get(chk, "depth", where, NAT, ctx["depth"])
+    return depth, _get(chk, "alpha", where, ORDINAL, None) or ctx["stage"] or system.alpha
 
 
 def _check_validate(ctx, chk, where):
-    system = _resolve(ctx, "systems", chk, "system", where)
-    ladders = {}
-    ok = True
-    for delta, sl in system.items():
-        rep = validate_special(sl)
-        ok = ok and rep.ok
-        ladders[format_ordinal(delta)] = {
-            "ok": rep.ok,
-            "errors": list(rep.errors),
-            "warnings": list(rep.warnings),
-        }
+    system = _get(chk, "system", where, ctx["system"])
+    yield
+    reports = {format_ordinal(delta): validate_special(sl) for delta, sl in system.items()}
     tree = is_tree_like(system)
     return {
-        "ok": ok,
+        "ok": all(rep.ok for rep in reports.values()),
         "alpha": format_ordinal(system.alpha),
-        "ladders": ladders,
+        "ladders": {tag: asdict(rep) for tag, rep in reports.items()},
         "tree_like": tree.ok,
         "tree_witness": list(tree.witness) if tree.witness else None,
     }
 
 
 def _check_build(ctx, chk, where):
-    cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = _depth(chk, ctx, where)
-    alpha = _alpha(chk, ctx, where, cfg.system)
+    cfg = _get(chk, "group", where, ctx["group"])
+    depth, alpha = _stage(ctx, chk, where, cfg.system)
+    yield
     sg = build_stage(cfg, alpha, depth)
     return {
         "ok": True,
@@ -270,30 +330,21 @@ def _check_build(ctx, chk, where):
 
 
 def _check_project(ctx, chk, where):
-    cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = _depth(chk, ctx, where)
-    alpha = _alpha(chk, ctx, where, cfg.system)
+    cfg = _get(chk, "group", where, ctx["group"])
+    depth, alpha = _stage(ctx, chk, where, cfg.system)
+    levels = _get(chk, "levels", where, ORDINALS)
+    yield
     sg = build_stage(cfg, alpha, depth)
-    levels = _need(chk, "levels", where)
-    if not isinstance(levels, list):
-        raise ScenarioError(
-            f"{where}.levels: expected a list of ordinal literals, got {levels!r}"
-        )
-    levels = [_ordinal(lit, f"{where}.levels[{i}]") for i, lit in enumerate(levels)]
-    reports = []
-    ok = True
-    for nu in levels:
-        _, rep = projection(sg, nu)
-        ok = ok and rep.ok
-        reports.append(asdict(rep))
-    return {"ok": ok, "depth": depth, "projections": reports}
+    reports = [projection(sg, nu)[1] for nu in levels]
+    ok = all(rep.ok for rep in reports)
+    return {"ok": ok, "depth": depth, "projections": [asdict(rep) for rep in reports]}
 
 
 def _check_equiv(ctx, chk, where):
-    src_cfg = _resolve(ctx, "groups", chk, "src", where)
-    dst_cfg = _resolve(ctx, "groups", chk, "dst", where)
-    depth = _depth(chk, ctx, where)
-    alpha = _alpha(chk, ctx, where, src_cfg.system)
+    src_cfg = _get(chk, "src", where, ctx["group"])
+    dst_cfg = _get(chk, "dst", where, ctx["group"])
+    depth, alpha = _stage(ctx, chk, where, src_cfg.system)
+    yield
     d = disjointify(src_cfg.system)
     overlap = overlap_check(src_cfg.system, dst_cfg.system, d)
     src, dst = build_matched_stages(src_cfg, dst_cfg, alpha, depth)
@@ -310,8 +361,9 @@ def _check_equiv(ctx, chk, where):
 
 
 def _check_uniformize(ctx, chk, where):
-    system = _resolve(ctx, "systems", chk, "system", where)
-    coloring = _resolve(ctx, "colorings", chk, "coloring", where)
+    system = _get(chk, "system", where, ctx["system"])
+    coloring = _get(chk, "coloring", where, ctx["coloring"])
+    yield
     d = disjointify(system)
     data = greedy_uniformize(system, coloring, d)
     return {
@@ -322,44 +374,33 @@ def _check_uniformize(ctx, chk, where):
     }
 
 
-def _phi_from_spec(spec, deltas, depth, target, rng, coloring, where):
-    if isinstance(target, MarkedBasisTarget):
-        if coloring is None:
-            raise ScenarioError("marked-target extension needs a coloring")
-        return {
-            (d, n): target.basis(n, coloring.color(d, 2 * n), coloring.color(d, 2 * n + 1))
-            for d in deltas
-            for n in range(depth)
-        }
-    if spec == "unit" or spec is None:
-        return {(d, n): 1 for d in deltas for n in range(depth)}
-    if isinstance(spec, dict) and "random" in spec:
-        lo, hi = spec["random"].get("low", -9), spec["random"].get("high", 9)
-        return {(d, n): rng.randint(lo, hi) for d in deltas for n in range(depth)}
-    if isinstance(spec, dict) and "values" in spec:
-        return {
-            (_ordinal(lit, f"{where}.phi.values"), n): v
-            for lit, vals in spec["values"].items()
-            for n, v in enumerate(vals)
-        }
-    raise ScenarioError(f"unknown phi selector {spec!r}")
-
-
 def _check_extend(ctx, chk, where):
-    cfg = _resolve(ctx, "groups", chk, "group", where)
-    depth = _depth(chk, ctx, where)
-    alpha = _alpha(chk, ctx, where, cfg.system)
+    cfg = _get(chk, "group", where, ctx["group"])
+    depth, alpha = _stage(ctx, chk, where, cfg.system)
+    marked = _get(chk, "target", where, _one_of({"integers": False, "marked": True}), "integers")
+    # the marked target induces phi from the coloring, so it needs one
+    coloring = _get(chk, "coloring", where, ctx["coloring"], _REQUIRED if marked else None)
+    rng = random.Random(_get(chk, "seed", where, INT, ctx["seed"]))
+    phi_spec = _get(chk, "phi", where, PHI, "unit")
+    values, low_high = (
+        (None, None) if phi_spec == "unit"
+        else _values_or_random(phi_spec, f"{where}.phi", cfg.system, INTS)
+    )
+    recover = _get(chk, "recover", where, BOOL, False)
+    yield
     cfg = cfg.restrict(depth)
     sg = build_stage(cfg, alpha, depth)
-    target_name = chk.get("target", "integers")
-    target = MarkedBasisTarget() if target_name == "marked" else IntegerTarget()
-    coloring = (
-        _resolve(ctx, "colorings", chk, "coloring", where)
-        if "coloring" in chk
-        else None
-    )
-    rng = random.Random(chk.get("seed", ctx["seed"]))
-    phi = _phi_from_spec(chk.get("phi"), sg.deltas, depth, target, rng, coloring, where)
+    target = MarkedBasisTarget() if marked else IntegerTarget()
+    keys = [(d, n) for d in sg.deltas for n in range(depth)]
+    if marked:
+        phi = {
+            (d, n): target.basis(n, coloring.color(d, 2 * n), coloring.color(d, 2 * n + 1))
+            for d, n in keys
+        }
+    elif values is not None:
+        phi = {(d, n): v for d, vals in values.items() for n, v in enumerate(vals)}
+    else:
+        phi = {key: rng.randint(*low_high) if low_high else 1 for key in keys}
     induced = induced_coloring(sg, phi, target)
     d = disjointify(cfg.system)
     u = greedy_uniformize(cfg.system, induced, d)
@@ -372,7 +413,7 @@ def _check_extend(ctx, chk, where):
         "cases": {k: v for k, v in rep.case_counts},
         "relations_checked": rep.relations_checked,
     }
-    if chk.get("recover"):
+    if recover:
         data, rrep = recover_uniformization(sg, coloring, hom)
         tails_match = all(
             data.psi[cfg.system.ladder(dd).entries[k]] == coloring.color(dd, k)
@@ -385,68 +426,40 @@ def _check_extend(ctx, chk, where):
     return out
 
 
-def _b_data(spec, system: LadderSystem, rng, where: str):
+def _b_data(chk, where: str, system: LadderSystem, rng):
     """The x lift of an obstruct check, one integer vector per explored block
     of every ladder: given as {"values": {delta: [[...], ...]}}, or drawn
     from [low, high] by {"random": {"low": -9, "high": 9}}."""
-    if not isinstance(spec, dict) or len(spec) != 1 or not spec.keys() <= {"values", "random"}:
-        raise ScenarioError(
-            f'{where}: expected an object with one key, "values" or "random", got {spec!r}'
-        )
-    b_data: dict[tuple[Ordinal, int], tuple[int, ...]] = {}
-    if "values" in spec:
-        values = spec["values"]
-        if not isinstance(values, dict):
-            raise ScenarioError(f"{where}.values: expected an object, got {values!r}")
-        given = {_ordinal(k, f"{where}.values"): v for k, v in values.items()}
-        for delta in given:
-            if delta not in system.deltas:
-                raise ScenarioError(
-                    f"{where}.values: no ladder on {format_ordinal(delta)} in the system"
-                )
-        for delta, sl in system.items():
-            vwhere = f"{where}.values[{format_ordinal(delta)}]"
-            vectors = given.get(delta)
-            if not isinstance(vectors, list) or len(vectors) != sl.block_count:
-                raise ScenarioError(
-                    f"{vwhere}: expected a list of {sl.block_count} block vectors, "
-                    f"got {vectors!r}"
-                )
-            for n, vec in enumerate(vectors):
-                if not (isinstance(vec, list) and len(vec) == sl.t(n) and all(map(_is_int, vec))):
-                    raise ScenarioError(
-                        f"{vwhere}[{n}]: expected a list of {sl.t(n)} integers, got {vec!r}"
-                    )
-                b_data[(delta, n)] = tuple(vec)
-        return b_data
-    rand = spec["random"]
-    lo, hi = (rand.get("low", -9), rand.get("high", 9)) if isinstance(rand, dict) else (None, None)
-    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
-        raise ScenarioError(f"{where}.random: expected integers low <= high, got {rand!r}")
+    spec = _get(chk, "b", where, LIFT, {"random": {}})
+    given, low_high = _values_or_random(spec, f"{where}.b", system, LIST)
+    b_data = {}
     for delta, sl in system.items():
-        for n in range(sl.block_count):
-            if sl.t(n) == 1:
-                b_data[(delta, n)] = (0,)
-            else:
-                b_data[(delta, n)] = tuple(rng.randint(lo, hi) for _ in range(sl.t(n)))
+        vwhere = f"{where}.b.values[{format_ordinal(delta)}]"
+        vectors = given.get(delta) if given is not None else [
+            [rng.randint(*low_high) for _ in range(sl.t(n))] if sl.t(n) > 1 else [0]
+            for n in range(sl.block_count)
+        ]
+        if not isinstance(vectors, list) or len(vectors) != sl.block_count:
+            _fail(vwhere, f"a list of {sl.block_count} block vectors", vectors)
+        for n, vec in enumerate(vectors):
+            if not (_ints(vec) and len(vec) == sl.t(n)):
+                _fail(f"{vwhere}[{n}]", f"a list of {sl.t(n)} integers", vec)
+            b_data[(delta, n)] = tuple(vec)
     return b_data
 
 
 def _check_obstruct(ctx, chk, where):
-    system = _resolve(ctx, "systems", chk, "system", where)
-    depth = _depth(chk, ctx, where)
-    alpha = _alpha(chk, ctx, where, system)
-    c1 = _resolve(ctx, "colorings", chk, "c1", where)
-    c2 = _resolve(ctx, "colorings", chk, "c2", where)
-    psi = _build_psi(chk.get("psi"), where)
-    bounds = _bounds(chk, ctx, where)
-    expect = chk.get("expect")
-    if "expect" in chk and expect not in VERDICTS:
-        raise ScenarioError(
-            f"{where}.expect: expected one of {', '.join(VERDICTS)}, got {expect!r}"
-        )
-    rng = random.Random(chk.get("seed", ctx["seed"]))
-    b_data = _b_data(chk.get("b", {"random": {}}), system, rng, f"{where}.b")
+    system = _get(chk, "system", where, ctx["system"])
+    depth, alpha = _stage(ctx, chk, where, system)
+    c1 = _get(chk, "c1", where, ctx["coloring"])
+    c2 = _get(chk, "c2", where, ctx["coloring"])
+    psi = _get(chk, "psi", where, PSI, "factorial")
+    bounds = _get(chk, "bounds", where, BOUNDS, [ctx["bound"]])
+    expect = _get(chk, "expect", where, _one_of(VERDICTS), None)
+    rng = random.Random(_get(chk, "seed", where, INT, ctx["seed"]))
+    b_data = _b_data(chk, where, system, rng)
+    zero_splits = _get(chk, "zero_splits", where, BOOL, False)
+    yield
     cfg = GroupConfig.from_rule(
         system, psi, lambda d, n, t: choose_annihilator(b_data[(d, n)])
     )
@@ -463,9 +476,7 @@ def _check_obstruct(ctx, chk, where):
     if expect is not None:
         result["expected"] = expect
         result["ok"] = verdict.status == expect
-    if chk.get("zero_splits"):
-        from .splitting import build_twisted, zero_coloring
-
+    if zero_splits:
         ts, ex = build_twisted(cfg, zero_coloring(system, depth), alpha, depth)
         found = splitting_search(ts, bounds[-1])
         result["zero_coloring_section_found"] = found.found
@@ -485,61 +496,53 @@ _RUNNERS = {
 }
 
 
-def _resolve(ctx, section, chk, key, where):
-    name = _need(chk, key, where)
-    pool = ctx[section]
-    if name not in pool:
-        raise ScenarioError(f"{where}.{key}: unknown {section[:-1]} {name!r}")
-    return pool[name]
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ScenarioError(f"key {key!r} given twice in one object")
+        out[key] = value
+    return out
 
 
 def run_scenario(path: str, options: dict) -> dict:
+    name = os.path.basename(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{os.path.basename(path)}: {exc}") from None
-    systems = _build_systems(raw.get("systems", {}))
-    groups = _build_groups(raw.get("groups", {}), systems)
-    colorings = _build_colorings(raw.get("colorings", {}))
-    ctx = {
-        "systems": systems,
-        "groups": groups,
-        "colorings": colorings,
-        "depth": options["depth"],
-        "seed": options["seed"],
-        "bound": options["bound"],
-        "stage": options["stage"],
-    }
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, ScenarioError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+    raw = OBJECT(raw, name)
+    systems = _build_systems(raw)
+    groups = _build_groups(raw, systems)
+    colorings = _build_colorings(raw)
+    # the run-wide defaults, and the kinds that read a reference to a section
+    ctx = dict(
+        options, system=_one_of(systems), group=_one_of(groups), coloring=_one_of(colorings)
+    )
     wanted = options.get("kind")
+    steps = []
+    for i, where, chk in _each(raw, "checks", "", LIST, []):
+        kind = _get(chk, "check", where, _one_of(tuple(_RUNNERS)))
+        label = _get(chk, "name", where, STRING, f"{kind}-{i}")
+        step = _RUNNERS[kind](ctx, chk, where)
+        next(step)
+        if not wanted or kind == wanted:
+            steps.append((label, kind, step))
     checks = []
-    all_ok = True
-    first_failure = None
-    for i, chk in enumerate(raw.get("checks", [])):
-        where = f"checks[{i}]"
-        kind = _need(chk, "check", where)
-        if kind not in _RUNNERS:
-            raise ScenarioError(f"{where}: unknown check kind {kind!r}")
-        if wanted and kind != wanted:
-            continue
-        name = chk.get("name", f"{kind}-{i}")
+    for label, kind, step in steps:
         try:
-            result = _RUNNERS[kind](ctx, chk, where)
-        except ScenarioError:
-            raise
+            next(step)
+        except StopIteration as done:
+            result = done.value
         except PrefixExhaustedError as exc:
             result = {"ok": False, "error": f"{exc} (increase depth)"}
         except (ValueError, KeyError, LookupError) as exc:
             result = {"ok": False, "error": str(exc)}
-        entry = {"name": name, "kind": kind}
-        entry.update(result)
-        checks.append(entry)
-        if not entry["ok"]:
-            all_ok = False
-            if first_failure is None:
-                first_failure = name
+        checks.append({"name": label, "kind": kind, **result})
+    first_failure = next((c["name"] for c in checks if not c["ok"]), None)
     return {
-        "scenario": os.path.basename(path),
+        "scenario": name,
         "options": {
             "bound": options["bound"],
             "depth": options["depth"],
@@ -549,16 +552,14 @@ def run_scenario(path: str, options: dict) -> dict:
         "checks": checks,
         "passed": sum(1 for c in checks if c["ok"]),
         "total": len(checks),
-        "ok": all_ok,
+        "ok": first_failure is None,
         "first_failure": first_failure,
     }
 
 
 def _render_text(report: dict) -> str:
-    lines = [f"scenario: {report['scenario']}"]
-    lines.append(
-        "options: " + json.dumps(report["options"], sort_keys=True, separators=(", ", ": "))
-    )
+    options = json.dumps(report["options"], sort_keys=True, separators=(", ", ": "))
+    lines = [f"scenario: {report['scenario']}", f"options: {options}"]
     for chk in report["checks"]:
         status = "PASS" if chk["ok"] else "FAIL"
         lines.append(f"== {chk['kind']} '{chk['name']}': {status}")
@@ -583,16 +584,11 @@ def main(argv: list[str] | None = None) -> int:
         prog="laddergroups",
         description="Build and verify ladder-system groups from scenario files.",
     )
-    default_depth = int(os.environ.get(DEPTH_ENV, "6"))
-    parser.add_argument(
-        "verb",
-        choices=["run", "validate", "build", "project", "equiv", "uniformize",
-                 "extend", "obstruct"],
-        help="run all checks, or only those of one kind",
-    )
+    parser.add_argument("verb", choices=["run", *_RUNNERS],
+                        help="run all checks, or only those of one kind")
     parser.add_argument("scenario", help="scenario JSON file")
-    parser.add_argument("--depth", type=int, default=default_depth,
-                        help=f"default chain depth (env {DEPTH_ENV})")
+    parser.add_argument("--depth", type=int, default=None,
+                        help=f"default chain depth (default: env {DEPTH_ENV}, else 6)")
     parser.add_argument("--stage", type=str, default=None,
                         help="default stage level as an ordinal literal")
     parser.add_argument("--seed", type=int, default=0,
@@ -603,16 +599,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=str, default=None,
                         help="write the report to a file instead of stdout")
     args = parser.parse_args(argv)
-    options = {
-        "depth": args.depth,
-        "seed": args.seed,
-        "bound": args.bound,
-        "stage": None,
-        "kind": None if args.verb == "run" else args.verb,
-    }
     try:
-        if args.stage:
-            options["stage"] = _ordinal(args.stage, "--stage")
+        if args.depth is None:
+            args.depth = _get(os.environ, DEPTH_ENV, "", DECIMAL, "6")
+        options = {
+            "depth": NAT(args.depth, "--depth"),
+            "seed": args.seed,
+            "bound": args.bound,
+            "stage": ORDINAL(args.stage, "--stage") if args.stage else None,
+            "kind": None if args.verb == "run" else args.verb,
+        }
         report = run_scenario(args.scenario, options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

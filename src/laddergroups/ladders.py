@@ -68,9 +68,6 @@ class BlockRule:
     def period_length(self) -> int:
         return sum(len(b) for b in self.offsets)
 
-    def block_size(self, n: int) -> int:
-        return len(self.offsets[n % self.period])
-
     def breakpoint(self, n: int) -> int:
         full, rem = divmod(n, self.period)
         head = sum(len(b) for b in self.offsets[:rem])
@@ -173,9 +170,9 @@ def validate_special(sl: SpecialLadder) -> LadderReport:
     bps = sl.breakpoints
     if len(bps) < 2:
         errors.append("need at least one explored block (two breakpoints)")
-    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)) or bps[0] < 0:
+    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)) or min(bps, default=0) < 0:
         errors.append("breakpoints must be strictly increasing naturals")
-    elif bps[-1] > len(sl.entries):
+    elif bps and bps[-1] > len(sl.entries):
         errors.append(
             f"breakpoints reach {bps[-1]} but only {len(sl.entries)} entries explored"
         )

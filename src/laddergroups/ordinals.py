@@ -93,13 +93,6 @@ class Ordinal:
             return Ordinal(self.terms[:-1])
         return self
 
-    @property
-    def natural_tail(self) -> int:
-        """The finite summand: k where self = limit_part + k."""
-        if self.terms and self.terms[-1][0] == 0:
-            return self.terms[-1][1]
-        return 0
-
     def __str__(self) -> str:
         return format_ordinal(self)
 

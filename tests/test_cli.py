@@ -1,8 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import re
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from laddergroups import cli
 from laddergroups.cli import CHECK_MODULES, main, render_report, run_scenario
 
 MODULES = {
@@ -215,6 +225,56 @@ def test_malformed_project_levels_exit_2(tmp_path, capsys, levels, message):
          "checks[7].b.random: expected integers low <= high"),
         (lambda raw: raw["checks"][7].update(expect="MAYBE"),
          "checks[7].expect: expected one of OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE"),
+        (lambda raw: raw.update(checks=5), "checks: expected a list, got 5"),
+        (lambda raw: raw["checks"].__setitem__(0, 5), "checks[0]: expected an object, got 5"),
+        (lambda raw: raw["systems"]["pair-src"]["ladders"][0].update(blocks="x"),
+         "systems[pair-src].ladders[0].blocks: expected a positive integer, got 'x'"),
+        (lambda raw: raw["systems"]["pair-ext"]["ladders"][0].update(offsets=[["a"]]),
+         "systems[pair-ext].ladders[0].offsets: expected a list of integer lists"),
+        (lambda raw: raw["systems"]["pair-ext"]["ladders"][0].update(
+            entries=["w*1+1", "w*1+2"], breakpoints="ab"),
+         "systems[pair-ext].ladders[0].breakpoints: expected a list of non-negative integers"),
+        (lambda raw: raw["systems"]["pair-src"].update(ladders={}),
+         "systems[pair-src].ladders: expected a list, got {}"),
+        (lambda raw: raw["systems"]["pair-src"].update(ladders=[]),
+         "systems[pair-dst].block_sizes: no ladder on w^2*1 in the system"),
+        (lambda raw: raw.update(systems=[]), "systems: expected an object, got []"),
+        (lambda raw: raw["systems"].update({"pair-ext": 5}),
+         "systems[pair-ext]: expected an object, got 5"),
+        (lambda raw: raw["groups"]["g-dst"]["coeffs"]["w^2"].__setitem__(0, "ab"),
+         "groups[g-dst].coeffs[w^2*1]: expected a list of integer lists"),
+        (lambda raw: raw["colorings"]["c-flip"].update(entries=5),
+         "colorings[c-flip].entries: expected a list, got 5"),
+        (lambda raw: raw["checks"][0].update(name=5), "checks[0].name: expected a string, got 5"),
+        (lambda raw: raw["checks"][6].update(seed="x"),
+         "checks[6].seed: expected an integer, got 'x'"),
+        (lambda raw: raw["checks"][6].update(target="bogus"),
+         "checks[6].target: expected one of integers, marked, got 'bogus'"),
+        (lambda raw: raw["checks"][7].update(zero_splits="no"),
+         "checks[7].zero_splits: expected true or false, got 'no'"),
+        (lambda raw: raw["checks"][6].update(phi={"random": {"low": "a"}}),
+         "checks[6].phi.random: expected integers low <= high"),
+        (lambda raw: raw["checks"][6].update(recover="yes"),
+         "checks[6].recover: expected true or false, got 'yes'"),
+        (lambda raw: raw["colorings"]["c-flip"]["entries"].append(
+            dict(raw["colorings"]["c-flip"]["entries"][0])),
+         "colorings[c-flip].entries[2].delta: delta w^2*1 given twice"),
+        (lambda raw: raw["systems"]["pair-src"]["ladders"].append(
+            {"delta": "w^2", "family": "simple", "blocks": 3}),
+         "systems[pair-src].ladders[2].delta: delta w^2*1 given twice"),
+        (lambda raw: raw["groups"]["g-dst"]["coeffs"].update({"w^2*1": [[1, -1]] * 8}),
+         "groups[g-dst].coeffs: delta w^2*1 given twice"),
+        (lambda raw: raw["systems"]["pair-dst"]["block_sizes"].update({"w^3": [1]}),
+         "systems[pair-dst].block_sizes: no ladder on w^3*1 in the system"),
+        (lambda raw: raw["groups"]["g-dst"]["coeffs"].update({"w^3": [[1]]}),
+         "groups[g-dst].coeffs: no ladder on w^3*1 in the system"),
+        (lambda raw: raw["checks"][6].update(phi={"values": {"w^3": [1]}}),
+         "checks[6].phi.values: no ladder on w^3*1 in the system"),
+        (lambda raw: raw["checks"][6].update(target="marked"),
+         "checks[6]: missing required field 'coloring'"),
+        (lambda raw: raw["systems"]["pair-ext"]["ladders"][0].update(
+            entries=["w*1+1"], breakpoints=[]),
+         "w^2*1: need at least one explored block (two breakpoints)"),
     ],
 )
 def test_malformed_scenario_ordinal_exits_2(tmp_path, capsys, edit, message):
@@ -296,3 +356,146 @@ def test_negative_default_bound_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["obstruct", str(path), "--bound", "-5"]) == 2
     assert "got [-5]" in capsys.readouterr().err
+
+
+def _example14():
+    with open(scenario_path("example14-pair.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_top_level_json_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([_example14()]), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: list.json: expected an object, got [") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # a system name repeated in the JSON: the second would replace the first
+        ('"pair-ext": {', '"pair-ext": {"alpha": "w^2+1", "ladders": []}, "pair-ext": {',
+         "key 'pair-ext' given twice"),
+        ('"depth": 6', '"depth": 6, "depth": 4', "key 'depth' given twice"),
+    ],
+)
+def test_repeated_json_key_exits_2(tmp_path, capsys, old, new, message):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(_example14()).replace(old, new, 1), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated.json: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["x", "-3", "2.5", ""])
+def test_malformed_depth_env_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("LADDERGROUPS_DEPTH", value)
+    assert main(["validate", scenario_path("example14-pair.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: LADDERGROUPS_DEPTH: expected a non-negative integer, got {value!r}\n"
+    # the variable is read after the arguments, so --help works whatever it holds
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("verb", ["run", "build"])
+def test_whole_scenario_is_parsed_before_any_check_runs(tmp_path, capsys, monkeypatch, verb):
+    raw = _example14()
+    checks = raw["checks"]
+    raw["checks"] = [checks[2], *checks[:2], *checks[3:]]
+    raw["checks"][-1]["expect"] = "MAYBE"
+    path = tmp_path / "late-error.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    calls = []
+    build = cli.build_stage
+    monkeypatch.setattr(cli, "build_stage", lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    assert main([verb, str(path)]) == 2
+    assert "checks[7].expect: expected one of" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_readme_example_scenario_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Scenario files\s+```json\n(.*?)```", readme, re.S).group(1)
+    assert {chk["check"] for chk in json.loads(block)["checks"]} == set(CHECK_MODULES)
+    path = tmp_path / "readme.json"
+    path.write_text(block, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "report.txt")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutation: 0, 1 or 2, and on 2 one line
+
+SHIPPED = {}
+for _name in BUNDLED:
+    with open(scenario_path(_name), encoding="utf-8") as _fh:
+        SHIPPED[_name] = json.load(_fh)
+
+# Integers stay in [-3, 12]: large block counts or depths build huge ladders.
+LEAVES = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.none(),
+    st.just(2.5),
+    st.sampled_from(["", "x", "0", "w*3", "w^2", "w^2*1", "w^2*2", "w^3", "factorial",
+                     "ones", "unit", "marked", "blocks", "g-simple", "pair-src", "c-zero",
+                     "OBSTRUCTED", "values", "random"]),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["values", "random", "low", "high", "delta", "w^2"]),
+                      inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every value below a JSON object or list."""
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield prefix + (key,)
+            yield from _paths(node[key], prefix + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    """A verb the scenario has checks for, and a shipped scenario with one or
+    two values replaced or keys deleted."""
+    raw = copy.deepcopy(SHIPPED[draw(st.sampled_from(BUNDLED))])
+    verb = draw(st.sampled_from(["run", *sorted({chk["check"] for chk in raw["checks"]})]))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(raw))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = raw
+        for step in head:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        elif type(parent[key]) is int and draw(st.booleans()):
+            parent[key] = draw(st.integers(-3, 12))
+        else:
+            parent[key] = draw(VALUES)
+    return verb, raw
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=mutated_runs())
+def test_mutated_scenarios_exit_0_1_or_2(run):
+    verb, raw = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

@@ -189,3 +189,9 @@ def test_omega_range_strictly_increasing_and_bounded():
         for a, b in zip(rng.blocks, rng.blocks[1:]):
             assert a < b
         assert all(v <= delta for v in rng.blocks)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0,), (-1, 1)])
+def test_validate_reports_missing_or_negative_breakpoints(breakpoints):
+    rep = validate_special(prefix_special(W2, (parse_ordinal("w*1+1"),), breakpoints))
+    assert not rep.ok and rep.errors
