@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from .equivalence import (
@@ -230,61 +231,77 @@ def _values_or_random(spec: dict, where: str, system: LadderSystem, kind):
     return _by_delta(spec, "values", where, system, kind), None
 
 
+@contextmanager
+def _entry(where: str):
+    """Name the section entry `where` in a library ValueError raised while
+    it is built; a ScenarioError names its field already."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def _build_systems(raw: dict) -> dict[str, LadderSystem]:
     systems: dict[str, LadderSystem] = {}
     for name, where, spec in _each(raw, "systems", "", OBJECT, {}):
-        if "companion_of" in spec:
-            src = _get(spec, "companion_of", where, _one_of(systems))
-            sizes = _by_delta(spec, "block_sizes", where, src, POSITIVES)
-            ladders = {d: companion_same_range(src.ladder(d), s) for d, s in sizes.items()}
-            systems[name] = LadderSystem.build(src.alpha, ladders)
-            continue
-        alpha = _get(spec, "alpha", where, ORDINAL)
-        ladders = {}
-        for _, lwhere, lad in _each(spec, "ladders", where, LIST):
-            delta = _get(lad, "delta", lwhere, lambda v, w: _delta(v, w, ladders))
-            if "entries" in lad:
-                bps = _get(lad, "breakpoints", lwhere, NATS, None)
-                ladders[delta] = prefix_special(delta, _get(lad, "entries", lwhere, ORDINALS), bps)
+        with _entry(where):
+            if "companion_of" in spec:
+                src = _get(spec, "companion_of", where, _one_of(systems))
+                sizes = _by_delta(spec, "block_sizes", where, src, POSITIVES)
+                ladders = {d: companion_same_range(src.ladder(d), s) for d, s in sizes.items()}
+                systems[name] = LadderSystem.build(src.alpha, ladders)
                 continue
-            family = _get(lad, "family", lwhere, _one_of(("simple", "blocks")), "simple")
-            blocks = _get(lad, "blocks", lwhere, POS)
-            offsets = _get(lad, "offsets", lwhere, INT_LISTS, [[1, 2]])
-            if family == "simple":
-                ladders[delta] = make_simple_special(delta, blocks)
-            else:
-                ladders[delta] = make_block_special(delta, blocks, offsets)
-        systems[name] = LadderSystem.build(alpha, ladders)
+            alpha = _get(spec, "alpha", where, ORDINAL)
+            ladders = {}
+            for _, lwhere, lad in _each(spec, "ladders", where, LIST):
+                delta = _get(lad, "delta", lwhere, lambda v, w: _delta(v, w, ladders))
+                if "entries" in lad:
+                    bps = _get(lad, "breakpoints", lwhere, NATS, None)
+                    entries = _get(lad, "entries", lwhere, ORDINALS)
+                    ladders[delta] = prefix_special(delta, entries, bps)
+                    continue
+                family = _get(lad, "family", lwhere, _one_of(("simple", "blocks")), "simple")
+                blocks = _get(lad, "blocks", lwhere, POS)
+                offsets = _get(lad, "offsets", lwhere, INT_LISTS, [[1, 2]])
+                if family == "simple":
+                    ladders[delta] = make_simple_special(delta, blocks)
+                else:
+                    ladders[delta] = make_block_special(delta, blocks, offsets)
+            systems[name] = LadderSystem.build(alpha, ladders)
     return systems
 
 
 def _build_groups(raw: dict, systems: dict) -> dict[str, GroupConfig]:
     groups = {}
     for name, where, g in _each(raw, "groups", "", OBJECT, {}):
-        system = _get(g, "system", where, _one_of(systems))
-        psi = _get(g, "psi", where, PSI, "factorial")
-        coeffs = _get(g, "coeffs", where, COEFFS, "ones")
-        if coeffs == "ones":
-            groups[name] = GroupConfig.all_ones(system, psi)
-        elif coeffs == "alternating":
-            groups[name] = GroupConfig.alternating(system, psi)
-        else:
-            table = _by_delta(g, "coeffs", where, system, INT_LISTS)
-            groups[name] = GroupConfig(system, psi, {
-                (delta, n): vec for delta, vecs in table.items() for n, vec in enumerate(vecs)
-            })
+        with _entry(where):
+            system = _get(g, "system", where, _one_of(systems))
+            psi = _get(g, "psi", where, PSI, "factorial")
+            coeffs = _get(g, "coeffs", where, COEFFS, "ones")
+            if coeffs == "ones":
+                groups[name] = GroupConfig.all_ones(system, psi)
+            elif coeffs == "alternating":
+                groups[name] = GroupConfig.alternating(system, psi)
+            else:
+                table = _by_delta(g, "coeffs", where, system, INT_LISTS)
+                groups[name] = GroupConfig(system, psi, {
+                    (delta, n): vec for delta, vecs in table.items() for n, vec in enumerate(vecs)
+                })
     return groups
 
 
 def _build_colorings(raw: dict) -> dict[str, Coloring]:
     out = {}
     for name, where, c in _each(raw, "colorings", "", OBJECT, {}):
-        palette = _get(c, "palette", where, PALETTE, 2)
-        entries = {}
-        for _, rwhere, row in _each(c, "entries", where, LIST):
-            delta = _get(row, "delta", rwhere, lambda v, w: _delta(v, w, entries))
-            entries[delta] = _get(row, "colors", rwhere, NATS)
-        out[name] = Coloring(entries, palette)
+        with _entry(where):
+            palette = _get(c, "palette", where, PALETTE, 2)
+            entries = {}
+            for _, rwhere, row in _each(c, "entries", where, LIST):
+                delta = _get(row, "delta", rwhere, lambda v, w: _delta(v, w, entries))
+                entries[delta] = _get(row, "colors", rwhere, NATS)
+            out[name] = Coloring(entries, palette)
     return out
 
 
@@ -386,20 +403,21 @@ def _check_extend(ctx, chk, where):
         (None, None) if phi_spec == "unit"
         else _values_or_random(phi_spec, f"{where}.phi", cfg.system, INTS)
     )
+    for delta in cfg.system.deltas_below(alpha) if values is not None else ():
+        if len(values.get(delta, ())) != depth:
+            vwhere = f"{where}.phi.values[{format_ordinal(delta)}]"
+            _fail(vwhere, f"a list of {depth} integers", values.get(delta))
     recover = _get(chk, "recover", where, BOOL, False)
     yield
     cfg = cfg.restrict(depth)
     sg = build_stage(cfg, alpha, depth)
     target = MarkedBasisTarget() if marked else IntegerTarget()
-    keys = [(d, n) for d in sg.deltas for n in range(depth)]
     if marked:
-        phi = {
-            (d, n): target.basis(n, coloring.color(d, 2 * n), coloring.color(d, 2 * n + 1))
-            for d, n in keys
-        }
+        phi = target.relation_images(sg, coloring)
     elif values is not None:
         phi = {(d, n): v for d, vals in values.items() for n, v in enumerate(vals)}
     else:
+        keys = [(d, n) for d in sg.deltas for n in range(depth)]
         phi = {key: rng.randint(*low_high) if low_high else 1 for key in keys}
     induced = induced_coloring(sg, phi, target)
     d = disjointify(cfg.system)

@@ -158,17 +158,6 @@ def build_matched_stages(
     )
 
 
-def _check_simple(cfg: GroupConfig, depth: int) -> None:
-    for dd in cfg.system.deltas:
-        sl = cfg.system.ladder(dd)
-        for n in range(depth):
-            if sl.k(n) != n or sl.t(n) != 1 or cfg.coeff(dd, n) != (1,):
-                raise ScopeError(
-                    "source stage must be of the simplest form "
-                    "(k_n = n, singleton blocks, unit coefficients)"
-                )
-
-
 def level_iso_build(
     src: StageGroup, dst: StageGroup, d: Disjointification
 ) -> GeneratorMap:
@@ -186,7 +175,11 @@ def level_iso_build(
         raise ScopeError("stages must share psi")
     if src.x_indices != dst.x_indices:
         raise ScopeError("stages must share their x universe; use build_matched_stages")
-    _check_simple(src.cfg, src.depth)
+    if not src.cfg.has_block_shape(src.depth, (1,)):
+        raise ScopeError(
+            "source stage must be of the simplest form "
+            "(k_n = n, singleton blocks, unit coefficients)"
+        )
     depth = src.depth
     if set(src.deltas) != set(dst.deltas):
         raise ScopeError("stages must live on the same deltas")

@@ -131,16 +131,6 @@ class SpecialLadder:
                 return n
         raise AssertionError("unreachable")
 
-    def deepen(self, blocks: int) -> "SpecialLadder":
-        """A new ladder explored to at least the given block count."""
-        if blocks <= self.block_count:
-            return self
-        if self.rule is None:
-            raise PrefixExhaustedError(
-                f"ladder on {self.delta} has no rule; explored {self.block_count} blocks"
-            )
-        return _from_rule(self.delta, self.rule, blocks)
-
 
 @dataclass(frozen=True)
 class LadderReport:

@@ -375,6 +375,16 @@ class GroupConfig:
     def block_x_indices(self, delta: Ordinal, n: int) -> tuple[Ordinal, ...]:
         return self.system.ladder(delta).block_values(n)
 
+    def has_block_shape(self, depth: int, coeffs: tuple[int, ...]) -> bool:
+        """Whether the first `depth` blocks of every ladder have len(coeffs)
+        entries, start at k_n = n * len(coeffs) and carry `coeffs`."""
+        t = len(coeffs)
+        return all(
+            sl.k(n) == t * n and sl.t(n) == t and self.coeff(delta, n) == coeffs
+            for delta, sl in self.system.items()
+            for n in range(depth)
+        )
+
     def psi_product(self, lo: int, hi: int) -> int:
         """Product of psi(j) for lo <= j < hi."""
         out = 1
@@ -422,24 +432,12 @@ def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     return FreeElement(out)
 
 
-def chain_relation(
-    cfg, delta: Ordinal, n: int, coloring=None, expanded: bool = False
-) -> FreeElement:
-    """The relation psi(n)*chain(n+1) - chain(n) - block(n) (minus its twist
-    term when a coloring is given).
-
-    Formal version uses y(delta, .) presentation symbols; the expanded
-    version substitutes the concrete chain elements and must be zero.
-    """
+def chain_relation(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
+    """The relation psi(n)*y(delta, n+1) - y(delta, n) - block(n) over the
+    presentation symbols (minus its twist term when a coloring is given)."""
     twist = coloring.color(delta, n) if coloring is not None else None
-    blk = block_element(cfg, delta, n, twist)
-    if expanded:
-        hi = chain_element(cfg, delta, n + 1, coloring).scale(cfg.psi(n))
-        lo = chain_element(cfg, delta, n, coloring)
-    else:
-        hi = FreeElement.single(ygen(delta, n + 1), cfg.psi(n))
-        lo = FreeElement.single(ygen(delta, n))
-    return hi - lo - blk
+    hi = FreeElement.single(ygen(delta, n + 1), cfg.psi(n))
+    return hi - FreeElement.single(ygen(delta, n)) - block_element(cfg, delta, n, twist)
 
 
 def relation_label(delta: Ordinal, n: int) -> str:

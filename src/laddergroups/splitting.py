@@ -28,8 +28,6 @@ from .presentation import (
     GroupConfig,
     ScopeError,
     WGEN,
-    chain_relation,
-    relation_label,
     verify_hom,
 )
 from .stages import StageGroup, build_stage
@@ -89,6 +87,24 @@ class UniformizationData:
         return self.thresholds[delta]
 
 
+def _tail_colors(sys: LadderSystem, c: Coloring, spans: dict[Ordinal, range]) -> dict[Ordinal, int]:
+    """The color c gives each ladder value at an index of its delta's span,
+    raising UniformizationError when one value needs two colors."""
+    psi: dict[Ordinal, int] = {}
+    owner: dict[Ordinal, tuple[str, int]] = {}
+    for delta, span in spans.items():
+        sl = sys.ladder(delta)
+        for n in span:
+            v, want = sl.entries[n], c.color(delta, n)
+            if psi.setdefault(v, want) != want:
+                raise UniformizationError(
+                    f"value {v} needs color {want} for ({format_ordinal(delta)},{n}) "
+                    f"but carries {psi[v]} for {owner[v]}"
+                )
+            owner[v] = (format_ordinal(delta), n)
+    return psi
+
+
 def greedy_uniformize(sys: LadderSystem, c: Coloring, d) -> UniformizationData:
     """Uniformize a coloring along disjoint ladder tails.
 
@@ -98,39 +114,20 @@ def greedy_uniformize(sys: LadderSystem, c: Coloring, d) -> UniformizationData:
     conflict means the prefixes were too shallow for the certificate and is
     reported as an error.
     """
-    psi: dict[Ordinal, int] = {}
-    owner: dict[Ordinal, tuple[str, int]] = {}
     thresholds: dict[Ordinal, int] = {}
+    spans: dict[Ordinal, range] = {}
     for delta, sl in sys.items():
-        start = sl.k(d.m(delta))
-        thresholds[delta] = start
-        if c.depth(delta) < sl.k(sl.block_count):
+        thresholds[delta] = sl.k(d.m(delta))
+        spans[delta] = range(thresholds[delta], sl.k(sl.block_count))
+        if c.depth(delta) < spans[delta].stop:
             raise ConfigError(
                 f"coloring on {format_ordinal(delta)} shallower than explored prefix"
             )
-        for n in range(start, sl.k(sl.block_count)):
-            v = sl.entries[n]
-            want = c.color(delta, n)
-            if v in psi and psi[v] != want:
-                raise UniformizationError(
-                    f"value {v} needs color {want} for ({format_ordinal(delta)},{n}) "
-                    f"but carries {psi[v]} for {owner[v]}"
-                )
-            psi[v] = want
-            owner[v] = (format_ordinal(delta), n)
+    psi = _tail_colors(sys, c, spans)
     for delta, sl in sys.items():
         for n in range(thresholds[delta]):
             psi.setdefault(sl.entries[n], 0)
-    data = UniformizationData(psi, thresholds)
-    for delta, sl in sys.items():
-        for n in range(thresholds[delta], sl.k(sl.block_count)):
-            v = sl.entries[n]
-            if data.psi[v] != c.color(delta, n):
-                raise UniformizationError(
-                    f"value {v} carries color {data.psi[v]} but "
-                    f"({format_ordinal(delta)},{n}) needs {c.color(delta, n)}"
-                )
-    return data
+    return UniformizationData(psi, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +212,15 @@ class MarkedBasisTarget:
 
     def basis(self, n: int, m: int, j: int) -> MarkedElement:
         return (((n, m, j), 1),)
+
+    def relation_images(self, sg: StageGroup, c: Coloring) -> dict:
+        """The images c marks on the relations of sg: basis(n, c(2n), c(2n+1))
+        on relation (delta, n)."""
+        return {
+            (dd, n): self.basis(n, c.color(dd, 2 * n), c.color(dd, 2 * n + 1))
+            for dd in sg.deltas
+            for n in range(sg.depth)
+        }
 
     def add(self, a: MarkedElement, b: MarkedElement) -> MarkedElement:
         out = dict(a)
@@ -315,15 +321,21 @@ class ExtensionHom:
         return out
 
 
-def _check_paired_block_shape(cfg: GroupConfig, depth: int) -> None:
-    for dd in cfg.system.deltas:
-        sl = cfg.system.ladder(dd)
-        for n in range(depth):
-            if sl.k(n) != 2 * n or sl.t(n) != 2 or cfg.coeff(dd, n) != (1, -1):
-                raise ScopeError(
-                    "extension algorithm needs paired blocks k_n = 2n with "
-                    "coefficients (1, -1)"
-                )
+def _require_paired_blocks(sg: StageGroup) -> None:
+    if not sg.cfg.has_block_shape(sg.depth, (1, -1)):
+        raise ScopeError(
+            "extension algorithm needs paired blocks k_n = 2n with coefficients (1, -1)"
+        )
+
+
+def _check_relation_images(sg: StageGroup, hom: ExtensionHom, phi: dict) -> int:
+    """Check that hom maps each relation of sg to its image in phi; returns
+    the number of relations checked."""
+    keys = [(dd, n) for dd in sg.deltas for n in range(sg.depth)]
+    for key, (label, rel) in zip(keys, sg.formal_relations()):
+        if hom.apply(rel) != phi[key]:
+            raise ExtensionError(f"extension identity fails at {label}")
+    return len(keys)
 
 
 def induced_coloring(sg: StageGroup, phi: dict, target) -> Coloring:
@@ -361,23 +373,21 @@ def extend_hom(
     dispatches on which of the two block positions are tail values, four
     cases in all.
     """
-    _check_paired_block_shape(sg.cfg, sg.depth)
+    _require_paired_blocks(sg)
     induced = induced_coloring(sg, phi, target)
     sys = sg.cfg.system
+    x_values: dict[Ordinal, object] = {}
     for dd in sg.deltas:
         sl = sys.ladder(dd)
         for n in range(u.threshold(dd), 2 * sg.depth):
-            if u.psi[sl.entries[n]] != induced.color(dd, n):
+            v = sl.entries[n]
+            if u.psi[v] != induced.color(dd, n):
                 raise UniformizationError(
                     f"uniformization does not match the induced coloring at "
                     f"({format_ordinal(dd)},{n})"
                 )
-    tail_values: dict[Ordinal, int] = {}
-    for dd in sg.deltas:
-        sl = sys.ladder(dd)
-        for n in range(u.threshold(dd), 2 * sg.depth):
-            tail_values[sl.entries[n]] = u.psi[sl.entries[n]]
-    x_values = {v: target.decode(color) for v, color in tail_values.items()}
+            if v not in x_values:
+                x_values[v] = target.decode(u.psi[v])
     z_values: dict[tuple[Ordinal, int], object] = {}
     cases = {"both-tail": 0, "first-tail": 0, "second-tail": 0, "neither": 0}
     for dd in sg.deltas:
@@ -395,11 +405,11 @@ def extend_hom(
             lo, hi = sl.entries[2 * n], sl.entries[2 * n + 1]
             case = (
                 "both-tail"
-                if lo in tail_values and hi in tail_values
+                if lo in x_values and hi in x_values
                 else "first-tail"
-                if lo in tail_values
+                if lo in x_values
                 else "second-tail"
-                if hi in tail_values
+                if hi in x_values
                 else "neither"
             )
             cases[case] += 1
@@ -409,19 +419,10 @@ def extend_hom(
             acc = target.sub(acc, phi[(dd, n)])
             z_values[(dd, n)] = acc
     hom = ExtensionHom(target, x_values, z_values)
-    checked = 0
-    for dd in sg.deltas:
-        for n in range(sg.depth):
-            got = hom.apply(chain_relation(sg.cfg, dd, n))
-            if got != phi[(dd, n)]:
-                raise ExtensionError(
-                    f"extension identity fails at {relation_label(dd, n)}"
-                )
-            checked += 1
     report = ExtendReport(
         tuple((format_ordinal(dd), u.threshold(dd)) for dd in sg.deltas),
         tuple(sorted(cases.items())),
-        checked,
+        _check_relation_images(sg, hom, phi),
         True,
     )
     return hom, report
@@ -455,41 +456,18 @@ def recover_uniformization(
     target = hom.target
     if not isinstance(target, MarkedBasisTarget):
         raise ScopeError("recovery needs the marked-basis target")
-    _check_paired_block_shape(sg.cfg, sg.depth)
+    _require_paired_blocks(sg)
     tree = is_tree_like(sg.cfg.system)
     if not tree.ok:
         raise ScopeError(f"system is not tree-like: {tree.witness}")
-    phi = {
-        (dd, n): target.basis(n, c.color(dd, 2 * n), c.color(dd, 2 * n + 1))
-        for dd in sg.deltas
-        for n in range(sg.depth)
-    }
-    for dd in sg.deltas:
-        for n in range(sg.depth):
-            if hom.apply(chain_relation(sg.cfg, dd, n)) != phi[(dd, n)]:
-                raise ExtensionError(
-                    f"claimed extension fails at {relation_label(dd, n)}"
-                )
+    phi = target.relation_images(sg, c)
+    _check_relation_images(sg, hom, phi)
     thresholds = {}
     for dd in sg.deltas:
         r = max(2, target.max_first_index(hom.on_z(dd, 0)) + 1)
         thresholds[dd] = 2 * r + 1
-    psi: dict[Ordinal, int] = {}
-    owner: dict[Ordinal, tuple[Ordinal, int]] = {}
-    assignments = 0
-    for dd in sg.deltas:
-        sl = sg.cfg.system.ladder(dd)
-        for k in range(thresholds[dd], min(2 * sg.depth, c.depth(dd))):
-            v = sl.entries[k]
-            want = c.color(dd, k)
-            if v in psi and psi[v] != want:
-                raise UniformizationError(
-                    f"recovered colors clash at value {v}: "
-                    f"{psi[v]} from {owner[v]} vs {want} from ({format_ordinal(dd)},{k})"
-                )
-            psi[v] = want
-            owner[v] = (dd, k)
-            assignments += 1
+    spans = {dd: range(thresholds[dd], min(2 * sg.depth, c.depth(dd))) for dd in sg.deltas}
+    psi = _tail_colors(sg.cfg.system, c, spans)
     coincidences = 0
     certificates = 0
     items = [(dd, sg.cfg.system.ladder(dd)) for dd in sg.deltas]
@@ -512,7 +490,7 @@ def recover_uniformization(
     data = UniformizationData(psi, thresholds)
     report = RecoverReport(
         tuple((format_ordinal(dd), thresholds[dd]) for dd in sg.deltas),
-        assignments,
+        sum(map(len, spans.values())),
         coincidences,
         certificates,
         True,
@@ -570,7 +548,6 @@ class TwistedStage:
     twisted: StageGroup
     untwisted: StageGroup
     collapse: GeneratorMap
-    coloring: Coloring
 
 
 @dataclass(frozen=True)
@@ -590,25 +567,20 @@ class ExactnessReport:
         )
 
 
-def _twisted_stage(twisted: StageGroup, untwisted: StageGroup) -> TwistedStage:
-    """The twisted stage with its collapse: untwisted realization, w to 0."""
-    collapse = GeneratorMap({**untwisted.realization().images, WGEN: FreeElement()})
-    return TwistedStage(twisted, untwisted, collapse, twisted.coloring)
-
-
 def build_twisted(
     cfg: GroupConfig, coloring: Coloring, alpha: Ordinal, depth: int
 ) -> tuple[TwistedStage, ExactnessReport]:
     twisted = build_stage(cfg, alpha, depth, coloring=coloring)
     untwisted = build_stage(cfg, alpha, depth)
-    ts = _twisted_stage(twisted, untwisted)
-    hom = verify_hom(ts.collapse, twisted.formal_relations())
+    # the collapse: the untwisted realization, and w to 0
+    collapse = GeneratorMap({**untwisted.realization().images, WGEN: FreeElement()})
+    hom = verify_hom(collapse, twisted.formal_relations())
     # The collapse is the identity matrix on the non-twist basis keys and
     # kills the twist generator, so once that diagonal shape is confirmed
     # the kernel is exactly the twist line and every target key is hit.
     diagonal = True
     for key in twisted.stage_basis():
-        img = ts.collapse.apply(FreeElement.single(key))
+        img = collapse.apply(FreeElement.single(key))
         if key.kind == "w":
             diagonal = diagonal and img.is_zero
         else:
@@ -618,7 +590,7 @@ def build_twisted(
     }
     pure = twisted.membership(FreeElement.single(WGEN)).pure_multiple == 1
     report = ExactnessReport(hom.ok, diagonal, pure, surjective)
-    return ts, report
+    return TwistedStage(twisted, untwisted, collapse), report
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +702,7 @@ def splitting_search(
     empty seed set is an exhaustion certificate for this bound.
     """
     lift = x_lift or {}
-    result, offsets = _seed_search(ts.twisted, [ts.coloring], bound, lift)
+    result, offsets = _seed_search(ts.twisted, [ts.twisted.coloring], bound, lift)
     if not result.found:
         return result
     section = _section_from_offsets(ts, offsets, lift)
@@ -744,15 +716,15 @@ def splitting_search(
 
 
 def splitting_search_pair(
-    ts1: TwistedStage,
-    ts2: TwistedStage,
+    t1: StageGroup,
+    t2: StageGroup,
     bound: int,
     x_lift: dict[Ordinal, int] | None = None,
 ) -> SearchResult:
     """Joint section search for two twisted stages over the same group with
     a shared x lift and shared seed offsets, the finitary reading of the
     two-filter argument."""
-    return _seed_search(ts1.twisted, [ts1.coloring, ts2.coloring], bound, x_lift or {})[0]
+    return _seed_search(t1, [t1.coloring, t2.coloring], bound, x_lift or {})[0]
 
 
 @dataclass(frozen=True)
@@ -783,8 +755,11 @@ def parity_obstruction(
     of sections with shared seed and lift exists at any bound.  Bounded
     joint searches cross-validate the verdict.
     """
+    # Built first: build_stage rejects a depth past the explored blocks of a
+    # stage ladder before the lift below reads their sizes.
+    t1, t2 = (build_stage(cfg, alpha, depth, coloring=c) for c in (c1, c2))
     lift: dict[Ordinal, int] = {}
-    for dd in cfg.system.deltas:
+    for dd in t1.deltas:
         sl = cfg.system.ladder(dd)
         for n in range(depth):
             vec = b_data.get((dd, n), (0,) * sl.t(n))
@@ -837,11 +812,8 @@ def parity_obstruction(
         status = "INCONCLUSIVE"
         notes.append("color differences absorbed by the psi chain")
     searches = []
-    untwisted = build_stage(cfg, alpha, depth)
-    ts1, ts2 = (_twisted_stage(build_stage(cfg, alpha, depth, coloring=c), untwisted)
-                for c in (c1, c2))
     for bound in bounds:
-        result = splitting_search_pair(ts1, ts2, bound, lift)
+        result = splitting_search_pair(t1, t2, bound, lift)
         searches.append(
             (bound, "found" if result.found else "exhausted",
              result.seed_offsets[0][1] if result.found and result.seed_offsets else None)

@@ -30,7 +30,6 @@ from laddergroups.ordinals import omega_power, parse_ordinal
 from laddergroups.presentation import (
     FreeElement,
     GroupConfig,
-    chain_relation,
     membership,
     stage_rewrite,
     xgen,
@@ -50,6 +49,8 @@ from laddergroups.splitting import (
     splitting_search,
 )
 from laddergroups.stages import build_stage, freeness_basis, projection
+
+from test_presentation import expanded_relation
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -91,7 +92,7 @@ def test_criterion_1_relation_identity_suite():
         )
         for d in sys.deltas:
             for n in range(depth):
-                ok = ok and chain_relation(cfg, d, n, expanded=True).is_zero
+                ok = ok and expanded_relation(cfg, d, n).is_zero
         configs += 1
     _report(1, "relation identity on 50 random configs", ok and configs >= 50)
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,30 @@ def test_reports_are_deterministic(name, fmt):
     first = render_report(run_scenario(scenario_path(name), dict(OPTIONS)), fmt)
     second = render_report(run_scenario(scenario_path(name), dict(OPTIONS)), fmt)
     assert first.encode() == second.encode()
+
+
+# SHA-256 of each shipped report under the default options, as recorded in
+# bench/digests.json: a refactor must leave every byte of them unchanged.
+SHIPPED_DIGESTS = {
+    ("example14-pair.json", "text"):
+        "b6240b61d1d4c614b4c876692b4b0bbf34c95f2dae240b06216226c5662cee95",
+    ("example14-pair.json", "json"):
+        "fd8640a4de07f57d7e90e19fc54048a03d38934c12e35b14f941af44b983e076",
+    ("parity-obstruction.json", "text"):
+        "3641417cefea2a7bf6676a869ecf18e8a3ed0d25a40f94711dd0e4c4beae75dc",
+    ("parity-obstruction.json", "json"):
+        "602f4640b709cc4cb2074f6859344576db8cec87caedbfcdbb20be810bf4ca89",
+    ("uniformize-roundtrip.json", "text"):
+        "2ef823005703be3c5109859fa1c485ac243e51d0c31a7d1f5b920a0a78e70a08",
+    ("uniformize-roundtrip.json", "json"):
+        "601ae3f284f8f31cdead3c971140e03008938f6f91f6885d24d185f9f8bda345",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(SHIPPED_DIGESTS))
+def test_shipped_reports_keep_their_digests(name, fmt):
+    report = render_report(run_scenario(scenario_path(name), dict(OPTIONS)), fmt)
+    assert hashlib.sha256(report.encode()).hexdigest() == SHIPPED_DIGESTS[(name, fmt)]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -149,6 +174,33 @@ def test_depth_exhaustion_hint(tmp_path):
     report = run_scenario(str(path), dict(OPTIONS))
     assert not report["ok"]
     assert "increase depth" in report["checks"][0]["error"]
+
+
+def test_obstruct_deeper_than_its_ladders_names_the_ladder(tmp_path):
+    path = _obstruct_scenario(tmp_path, depth=12)
+    report = run_scenario(str(path), dict(OPTIONS))
+    (chk,) = [c for c in report["checks"] if c["kind"] == "obstruct"]
+    assert chk["error"] == "ladder on w^2*1 explored to 8 blocks, need 12; increase depth"
+
+
+def test_obstruct_stage_below_a_shallower_ladder_runs(tmp_path):
+    # the lift is read on the stage's ladders only: w^2*2, above the stage
+    # level, is explored to fewer blocks than the depth
+    colors = {"z": [0] * 16, "f": [0, 0, 1] + [0] * 13}
+    scenario = {
+        "systems": {"s": {"alpha": "w^2*2+1", "ladders": [
+            {"delta": "w^2", "family": "blocks", "blocks": 8},
+            {"delta": "w^2*2", "family": "blocks", "blocks": 4}]}},
+        "colorings": {name: {"entries": [{"delta": "w^2", "colors": c},
+                                         {"delta": "w^2*2", "colors": [0] * 8}]}
+                      for name, c in colors.items()},
+        "checks": [{"check": "obstruct", "system": "s", "alpha": "w^2+1", "depth": 6,
+                    "c1": "f", "c2": "z"}],
+    }
+    path = tmp_path / "stage-below.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    report = run_scenario(str(path), dict(OPTIONS))
+    assert report["checks"][0]["status"] == "OBSTRUCTED"
 
 
 @pytest.mark.parametrize("depth", [-3, "6", 2.5, True])
@@ -270,6 +322,20 @@ def test_malformed_project_levels_exit_2(tmp_path, capsys, levels, message):
          "groups[g-dst].coeffs: no ladder on w^3*1 in the system"),
         (lambda raw: raw["checks"][6].update(phi={"values": {"w^3": [1]}}),
          "checks[6].phi.values: no ladder on w^3*1 in the system"),
+        (lambda raw: raw["checks"][6].update(phi={"values": {"w^2": [1, 1]}}),
+         "checks[6].phi.values[w^2*1]: expected a list of 6 integers, got [1, 1]"),
+        (lambda raw: raw["checks"][6].update(phi={"values": {}}),
+         "checks[6].phi.values[w^2*1]: expected a list of 6 integers, got None"),
+        (lambda raw: raw["systems"]["pair-ext"]["ladders"][0].update(offsets=[[2, 1]]),
+         "systems[pair-ext]: offsets must be strictly increasing positive integers"),
+        (lambda raw: raw["colorings"]["c-flip"]["entries"][0]["colors"].__setitem__(2, 3),
+         "colorings[c-flip]: color 3 at (w^2*1,2) outside palette"),
+        (lambda raw: raw["systems"]["pair-src"].update(alpha="0"),
+         "systems[pair-src]: w^2*1: not below alpha 0"),
+        (lambda raw: raw["groups"]["g-dst"]["coeffs"]["w^2"].__setitem__(0, [2, 4]),
+         "groups[g-dst]: coefficients (2, 4) for block 0 of w^2*1 do not have gcd 1"),
+        (lambda raw: raw["groups"]["g-dst"]["coeffs"]["w^2"].__setitem__(0, [1]),
+         "groups[g-dst]: block 0 of w^2*1 has size 2, got 1 coefficients"),
         (lambda raw: raw["checks"][6].update(target="marked"),
          "checks[6]: missing required field 'coloring'"),
         (lambda raw: raw["systems"]["pair-ext"]["ladders"][0].update(

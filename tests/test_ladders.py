@@ -13,6 +13,7 @@ from laddergroups.ladders import (
     omega_range,
     prefix_special,
     validate_special,
+    _from_rule,
 )
 from laddergroups.ordinals import nat, omega_power, parse_ordinal, plus_omega
 
@@ -162,6 +163,11 @@ def test_tree_like_monotone_under_prefix_restriction():
         assert is_tree_like(sys.restrict_blocks(blocks)).ok
 
 
+def deepen(sl, blocks):
+    """sl explored to at least `blocks` blocks, rebuilt from its rule."""
+    return sl if blocks <= sl.block_count else _from_rule(sl.delta, sl.rule, blocks)
+
+
 def test_rule_backed_ladders_approach_delta():
     # every threshold below delta is eventually cleared within the rule
     for delta, blocks in ((W2, 6), (W2_2, 6), (W3, 4)):
@@ -172,7 +178,7 @@ def test_rule_backed_ladders_approach_delta():
         for threshold in (nat(5), delta.limit_part):
             if threshold < delta:
                 n = first_block_reaching(eta, threshold)
-                assert not eta.deepen(n + 1).head(n) < threshold
+                assert not deepen(eta, n + 1).head(n) < threshold
 
 
 def test_block_condition_constant_on_blocks():

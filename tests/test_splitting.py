@@ -369,7 +369,7 @@ def test_pair_search_monotone_exhaustion():
     # 10**12 is far past what a seed scan could try; the solver's count
     # still matches it.
     for bound in (1, 5, 25, 10**12):
-        res = splitting_search_pair(ts1, ts2, bound, lift)
+        res = splitting_search_pair(ts1.twisted, ts2.twisted, bound, lift)
         assert not res.found and res.failing_delta == "w^2*1"
         assert res.candidates_tried == 2 * bound + 1
 
@@ -530,4 +530,4 @@ def test_section_searches_match_scan(problem):
     if len(colorings) == 2:
         ts2, _ = build_twisted(cfg, colorings[1], ALPHA, depth)
         want, _ = seed_search_oracle(ts1.twisted, colorings, bound, lift)
-        assert splitting_search_pair(ts1, ts2, bound, lift) == want
+        assert splitting_search_pair(ts1.twisted, ts2.twisted, bound, lift) == want
