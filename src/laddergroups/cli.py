@@ -557,6 +557,8 @@ def run_scenario(path: str, options: dict) -> dict:
             result = {"ok": False, "error": f"{exc} (increase depth)"}
         except (ValueError, KeyError, LookupError) as exc:
             result = {"ok": False, "error": str(exc)}
+        except Exception as exc:
+            result = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         checks.append({"name": label, "kind": kind, **result})
     first_failure = next((c["name"] for c in checks if not c["ok"]), None)
     return {
@@ -633,8 +635,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if options["kind"] and not report["checks"]:

@@ -11,6 +11,7 @@ threshold are backfilled through the relations.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .presentation import (
     xgen,
     ygen,
 )
-from .stages import StageGroup, build_stage, filtration_subgroup
+from .stages import StageGroup, build_stage
 
 
 @dataclass(frozen=True)
@@ -249,37 +250,32 @@ def level_iso_verify(
     """Three checks: source relations die in the destination, the basis
     matrix is integrally invertible, and every filtration level maps onto
     the matching destination level.  The integer basis matrix itself is
-    part of the certificate."""
+    part of the certificate.
+
+    A homomorphism defined on the whole source presentation sends each
+    y(delta, n) with n < N to psi(n) times the image of y(delta, n+1) minus
+    the image of block(n), an integer combination of basis-key images, so
+    its images lie in the destination exactly when the basis matrix is
+    integral.  Other maps are checked image by image."""
     hom = verify_hom(gmap, src.formal_relations())
-    in_group = all(
+    whole = hom.ok and set(gmap.images) == set(src.presentation_generators())
+    in_group = whole or all(
         dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
     )
-    src_keys, dst_keys, index, matrix = _basis_matrix(gmap, src, dst)
+    src_keys, dst_keys, _, matrix = _basis_matrix(gmap, src, dst)
     integral = all(q.denominator == 1 for row in matrix for q in row.values())
+    if whole:
+        in_group = integral
     det = gauss_jordan(matrix, len(dst_keys))[0]
     inverse_ok = integral and abs(det) == 1
-    levels = sorted(
-        {generator_level(k).terms for k in src_keys} | {src.alpha.terms},
-    )
-    level_checks = []
-    all_levels_ok = True
-    for terms in levels:
-        mu = Ordinal(terms)
-        rows = [row for k, row in zip(src_keys, matrix) if not mu < generator_level(k)]
-        cols = {index[k]: c for c, k in enumerate(filtration_subgroup(dst, mu))}
-        ok = all(j in cols for row in rows for j in row)
-        if ok:
-            sub = [{cols[j]: q for j, q in row.items()} for row in rows]
-            ok = abs(gauss_jordan(sub, len(cols))[0]) == 1
-        all_levels_ok = all_levels_ok and ok
-        level_checks.append((format_ordinal(mu), ok))
-    ok = hom.ok and in_group and inverse_ok and all_levels_ok
+    level_checks = _level_checks(src, dst, src_keys, dst_keys, matrix)
+    ok = hom.ok and in_group and inverse_ok and all(passed for _, passed in level_checks)
     return LevelIsoReport(
         hom.ok,
         in_group,
         str(det),
         inverse_ok,
-        tuple(level_checks),
+        level_checks,
         tuple(str(k) for k in src_keys),
         tuple(str(k) for k in dst_keys),
         tuple(
@@ -288,6 +284,68 @@ def level_iso_verify(
         ),
         ok,
     )
+
+
+def _level_checks(
+    src: StageGroup,
+    dst: StageGroup,
+    src_keys: tuple[Generator, ...],
+    dst_keys: tuple[Generator, ...],
+    matrix: list[dict[int, Fraction]],
+) -> tuple[tuple[str, bool], ...]:
+    """The verdict at every filtration level mu, ascending: the rows of the
+    source keys admitted at mu must lie in the destination columns admitted
+    at mu and form a block of determinant +-1 there.
+
+    Levels are walked once over the rows and columns ordered by admission
+    level.  When the previous level's block M' was contained and square,
+    the new rows vanish outside the columns admitted up to now and the old
+    rows vanish on the new columns, so M = [[M', 0], [C, D]] and only the
+    new diagonal block D is eliminated: |det M| = |det M'| * |det D|.
+    """
+    row_level = [generator_level(k).terms for k in src_keys]
+    levels = sorted({*row_level, src.alpha.terms})
+    top = bisect_right(levels, dst.alpha.terms)
+    if top < len(levels):
+        raise ScopeError(f"level {Ordinal(levels[top])} above stage level {dst.alpha}")
+    step = {terms: s for s, terms in enumerate(levels)}
+    new_rows: list[list[int]] = [[] for _ in levels]
+    for i, terms in enumerate(row_level):
+        new_rows[step[terms]].append(i)
+    new_cols: list[list[int]] = [[] for _ in levels]
+    col_step = [
+        0 if k.kind == "w" else bisect_left(levels, generator_level(k).terms)
+        for k in dst_keys
+    ]
+    for j, s in enumerate(col_step):
+        if s < len(levels):
+            new_cols[s].append(j)
+    checks = []
+    rows: list[int] = []
+    cols: list[int] = []
+    reach = 0  # the step by which every admitted row's support is admitted
+    det = None  # |det| of the previous level's block if contained and square
+    for s, terms in enumerate(levels):
+        rows += new_rows[s]
+        cols += new_cols[s]
+        reach = max([reach, *(col_step[j] for i in new_rows[s] for j in matrix[i])])
+        if reach > s or len(rows) != len(cols):
+            det = None
+        elif det is None:
+            det = abs(_block_det(matrix, rows, cols))
+        else:
+            det *= abs(_block_det(matrix, new_rows[s], new_cols[s]))
+        checks.append((format_ordinal(Ordinal(terms)), det == 1))
+    return tuple(checks)
+
+
+def _block_det(
+    matrix: list[dict[int, Fraction]], rows: list[int], cols: list[int]
+) -> Fraction:
+    """Determinant of the block of the given rows on the given columns."""
+    pos = {j: c for c, j in enumerate(cols)}
+    sub = [{pos[j]: q for j, q in matrix[i].items() if j in pos} for i in rows]
+    return gauss_jordan(sub, len(cols))[0]
 
 
 def _basis_matrix(

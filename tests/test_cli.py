@@ -482,6 +482,21 @@ def test_whole_scenario_is_parsed_before_any_check_runs(tmp_path, capsys, monkey
     assert calls == []
 
 
+def test_unexpected_exception_in_a_check_names_its_type(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "level_iso_verify", broken)
+    report = run_scenario(scenario_path("example14-pair.json"), dict(OPTIONS))
+    failed = [(c["kind"], c["error"]) for c in report["checks"] if not c["ok"]]
+    assert failed == [("equiv", "TypeError: unsupported operand")]
+    assert (report["passed"], report["total"]) == (7, 8)
+    assert main(["run", scenario_path("example14-pair.json")]) == 1
+    captured = capsys.readouterr()
+    assert '   error: "TypeError: unsupported operand"\n' in captured.out
+    assert captured.err == ""
+
+
 def test_readme_example_scenario_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Scenario files\s+```json\n(.*?)```", readme, re.S).group(1)

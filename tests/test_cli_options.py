@@ -160,3 +160,13 @@ def test_prefix_exhaustion_surfaces_remediation_hint(tmp_path):
     report = run_scenario(str(path), options())
     assert not report["ok"]
     assert "(increase depth)" in report["checks"][0]["error"]
+
+
+def test_unwritable_out_path_exits_2(obstruct_scenario, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.txt"
+    assert main(["run", obstruct_scenario, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()

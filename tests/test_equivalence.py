@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from laddergroups import equivalence
 from laddergroups.equivalence import (
     LevelIsoReport,
     build_matched_stages,
@@ -480,7 +481,12 @@ def test_gauss_jordan_matches_dense_oracles(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**16), st.integers(3, 5), st.sampled_from(["none", "cross", "singular"]))
+@given(st.integers(0, 2**16), st.integers(3, 5),
+       st.sampled_from(["none", "cross", "singular", "relation", "extra", "half"]))
+@example(0, 3, "cross")
+@example(0, 3, "half")
+@example(0, 4, "relation")
+@example(0, 5, "extra")
 def test_level_iso_verify_matches_dense_oracle(seed, depth, tamper):
     gmap, src, dst = seeded_iso(seed, depth)
     images = dict(gmap.images)
@@ -491,7 +497,54 @@ def test_level_iso_verify_matches_dense_oracle(seed, depth, tamper):
         images[low], images[high] = FreeElement.single(high), FreeElement.single(low)
     elif tamper == "singular":
         images[high] = images[low]
+    elif tamper == "relation":
+        # a chain symbol below the stage depth is not a basis key: only the
+        # relations and the image-by-image membership test can see it
+        images[ygen(W2, 1)] = images[ygen(W2, 1)].scale(Fraction(1, 2))
+    elif tamper == "extra":
+        images[xgen(parse_ordinal("w^3+1"))] = FreeElement.single(low, Fraction(1, 2))
+    elif tamper == "half":
+        # still a homomorphism on the whole presentation, with fractional images
+        images = {g: e.scale(Fraction(1, 2)) for g, e in images.items()}
     gmap = GeneratorMap(images)
     rep = level_iso_verify(gmap, src, dst)
     assert rep == dense_level_iso_verify(gmap, src, dst)
     assert rep.ok == (tamper == "none")
+    if tamper == "relation":
+        assert not rep.relations_ok
+    if tamper in ("extra", "half"):
+        assert rep.relations_ok and not rep.images_in_group
+    if tamper == "cross":
+        # a level after a broken containment is eliminated afresh
+        verdicts = [ok for _, ok in rep.level_checks]
+        assert (False, True) in zip(verdicts, verdicts[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_level_checks_eliminate_only_the_new_diagonal_blocks(monkeypatch, seed):
+    gmap, src, dst = seeded_iso(seed, 5)
+    sizes = []
+
+    def recording(rows, n):
+        sizes.append(n)
+        return gauss_jordan(rows, n)
+
+    monkeypatch.setattr(equivalence, "gauss_jordan", recording)
+    rep = level_iso_verify(gmap, src, dst)
+    assert rep.ok
+    admitted = [len(filtration_subgroup(dst, parse_ordinal(mu))) for mu, _ in rep.level_checks]
+    widest = max(b - a for a, b in zip([0, *admitted], admitted))
+    assert sizes.count(len(rep.dst_basis)) == 1
+    assert all(n <= widest for n in sizes if n != len(rep.dst_basis))
+
+
+def test_level_above_the_destination_raises_like_filtration_subgroup():
+    cfg = GroupConfig.all_ones(simple_system())
+    src = build_stage(cfg, W2_2, 4)
+    dst = build_stage(cfg, parse_ordinal("w^2+1"), 4)
+    gmap = GeneratorMap({g: src.realize(g) for g in src.presentation_generators()})
+    with pytest.raises(ScopeError) as dense:
+        dense_level_iso_verify(gmap, src, dst)
+    with pytest.raises(ScopeError, match="above stage level") as fast:
+        level_iso_verify(gmap, src, dst)
+    assert str(fast.value) == str(dense.value)
