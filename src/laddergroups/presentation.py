@@ -41,9 +41,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Generator:
+    """A generator; its hash is computed once, at construction, because
+    generators key every coefficient dict."""
+
     kind: str  # "x" | "y" | "w"
     ordinal: Ordinal | None = None
     index: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.ordinal, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy in another process rehashes
+        return Generator, (self.kind, self.ordinal, self.index)
 
     def sort_key(self):
         if self.kind == "x":
@@ -119,6 +132,21 @@ class FreeElement:
 
     def items(self) -> list[tuple[Generator, Fraction]]:
         return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+
+    def integer_form(self) -> tuple[int, dict[Generator, int]]:
+        """(d, nums) with self = sum of nums[g] / d * g, where d is the lcm
+        of the coefficient denominators (1 for the zero element)."""
+        coeffs = self._coeffs
+        d = lcm(*[q.denominator for q in coeffs.values()])
+        return d, {g: q.numerator * (d // q.denominator) for g, q in coeffs.items()}
+
+    @classmethod
+    def from_numerators(cls, d: int, nums: dict[Generator, int]) -> "FreeElement":
+        """The element sum of nums[g] / d * g, for a positive integer d."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_coeffs", {g: Fraction(n, d) for g, n in nums.items() if n})
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
         out = dict(self._coeffs)
@@ -263,12 +291,31 @@ def verify_hom(
     gmap: GeneratorMap, relations: list[tuple[str, FreeElement]]
 ) -> HomReport:
     """A map out of the presented group must kill every relation; report the
-    nonzero images."""
+    nonzero images.
+
+    Each relation's image is summed in integers over the lcm of the
+    denominators of the images it touches; only an image that does not
+    vanish is rebuilt through gmap.apply, to render it."""
+    forms: dict[Generator, tuple[int, dict[Generator, int]]] = {}
     failures = []
     for label, rel in relations:
-        image = gmap.apply(rel)
-        if not image.is_zero:
-            failures.append((label, str(image)))
+        _, rel_nums = rel.integer_form()
+        try:
+            for g in rel_nums:
+                if g not in forms:
+                    forms[g] = gmap.image_of(g).integer_form()
+        except MapDomainError:
+            gmap.apply(rel)  # raises for the first missing generator in order
+            raise
+        d = lcm(*[forms[g][0] for g in rel_nums])
+        acc: dict[Generator, int] = {}
+        for g, n in rel_nums.items():
+            d_g, img = forms[g]
+            n *= d // d_g
+            for h, m in img.items():
+                acc[h] = acc.get(h, 0) + n * m
+        if any(acc.values()):
+            failures.append((label, str(gmap.apply(rel))))
     return HomReport(not failures, tuple(failures))
 
 
@@ -417,27 +464,41 @@ def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     module: seed / P(0, n) + sum_{i<n} block(i) / P(i, n), where P(i, n) is
     the product of psi(j) for i <= j < n.  With a coloring the blocks carry
     their twist term, realizing the twisted chain.
+
+    Over the common denominator P(0, n) this is the integer prefix sum
+    seed + sum_{i<n} P(0, i) * block(i), which is what gets accumulated.
     """
     sl = cfg.system.ladder(delta)
     if n > sl.block_count:
         raise ScopeError(f"chain index {n} beyond explored blocks of {delta}")
-    out: dict[Generator, Fraction] = {}
-    weight = 1  # P(i, n), one factor more for each block walked down from n
+    # read the blocks from n down, so a config missing entries names the highest
+    blocks = []
     for i in reversed(range(n)):
-        weight *= cfg.psi(i)
+        psi = cfg.psi(i)
         twist = coloring.color(delta, i) if coloring is not None else None
-        for g, a in block_element(cfg, delta, i, twist).items():
-            out[g] = out.get(g, 0) + a / weight
-    out[ygen(delta, 0)] = Fraction(1, weight)
-    return FreeElement(out)
+        blocks.append((psi, twist, cfg.coeff(delta, i), sl.block_values(i)))
+    nums: dict[Generator, int] = {ygen(delta, 0): 1}
+    p = 1  # P(0, i)
+    for psi, twist, coeffs, betas in reversed(blocks):
+        for a, beta in zip(coeffs, betas):
+            g = xgen(beta)
+            nums[g] = nums.get(g, 0) + p * a
+        if twist:
+            nums[WGEN] = nums.get(WGEN, 0) + p * twist
+        p *= psi
+    return FreeElement.from_numerators(p, nums)
 
 
 def chain_relation(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     """The relation psi(n)*y(delta, n+1) - y(delta, n) - block(n) over the
     presentation symbols (minus its twist term when a coloring is given)."""
     twist = coloring.color(delta, n) if coloring is not None else None
-    hi = FreeElement.single(ygen(delta, n + 1), cfg.psi(n))
-    return hi - FreeElement.single(ygen(delta, n)) - block_element(cfg, delta, n, twist)
+    nums = {ygen(delta, n + 1): cfg.psi(n), ygen(delta, n): -1}
+    for a, beta in zip(cfg.coeff(delta, n), cfg.block_x_indices(delta, n)):
+        nums[xgen(beta)] = -a
+    if twist:
+        nums[WGEN] = -twist
+    return FreeElement.from_numerators(1, nums)
 
 
 def relation_label(delta: Ordinal, n: int) -> str:
@@ -453,20 +514,33 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
 
     The basis is {chain(delta, N)} for delta in the system plus the x
     generators (plus w for twisted stages); basis coordinates are returned
-    as a combination of the formal keys y(delta, N), x[beta] and w.
+    as a combination of the formal keys y(delta, N), x[beta] and w.  A seed
+    y(delta, 0) is chain(delta, N) * P(0, N) minus sum_{i<N} P(0, i) *
+    block(i); the coordinates are summed as integer numerators over the lcm
+    of e's denominators.
     """
-    out: dict[Generator, Fraction] = {}
+    d, nums = e.integer_form()
+    try:
+        out = _rewrite_numerators(cfg, depth, nums.items(), coloring)
+    except Exception:
+        # raise what the first offending generator in basis order raises
+        in_order = sorted(nums.items(), key=lambda kv: kv[0].sort_key())
+        _rewrite_numerators(cfg, depth, in_order, coloring)
+        raise
+    return FreeElement.from_numerators(d, out)
 
-    def bump(g: Generator, q: Fraction) -> None:
-        out[g] = out.get(g, Fraction(0)) + q
 
-    for g, q in e.items():
+def _rewrite_numerators(cfg, depth: int, terms, coloring) -> dict[Generator, int]:
+    """stage_rewrite on integer numerators: the (generator, numerator) terms
+    rewritten over the basis keys, generator by generator."""
+    out: dict[Generator, int] = {}
+    for g, n in terms:
         if g.kind == "x":
-            bump(g, q)
+            out[g] = out.get(g, 0) + n
         elif g.kind == "w":
             if coloring is None:
                 raise ScopeError("twist generator outside a twisted stage")
-            bump(WGEN, q)
+            out[WGEN] = out.get(WGEN, 0) + n
         else:
             if g.index != 0:
                 raise ScopeError(
@@ -474,21 +548,22 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
                 )
             delta = g.ordinal
             try:
-                cfg.system.ladder(delta)
+                sl = cfg.system.ladder(delta)
             except KeyError:
                 raise ScopeError(f"{g} indexed outside the ladder system") from None
-            p_i = 1  # P(0, i)
+            weight = n  # n * P(0, i)
             for i in range(depth):
-                coeffs = cfg.coeff(delta, i)
-                for a, beta in zip(coeffs, cfg.block_x_indices(delta, i)):
-                    bump(xgen(beta), -q * p_i * a)
+                for a, beta in zip(cfg.coeff(delta, i), sl.block_values(i)):
+                    x = xgen(beta)
+                    out[x] = out.get(x, 0) - weight * a
                 if coloring is not None:
                     c = coloring.color(delta, i)
                     if c:
-                        bump(WGEN, -q * p_i * c)
-                p_i *= cfg.psi(i)
-            bump(ygen(delta, depth), q * p_i)
-    return FreeElement(out)
+                        out[WGEN] = out.get(WGEN, 0) - weight * c
+                weight *= cfg.psi(i)
+            key = ygen(delta, depth)
+            out[key] = out.get(key, 0) + weight
+    return out
 
 
 @dataclass(frozen=True)

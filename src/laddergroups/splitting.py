@@ -14,6 +14,7 @@ annihilated x lift, demand n! * delta = +-1, which no integer satisfies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -159,9 +160,11 @@ class IntegerTarget:
 _PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def _ensure_prime_count(k: int) -> None:
+def _grow_primes(count: int = 0, reach: int = 0) -> None:
+    """Extend _PRIMES until it holds more than `count` primes and its last
+    prime is at least `reach`."""
     candidate = _PRIMES[-1]
-    while len(_PRIMES) <= k:
+    while len(_PRIMES) <= count or _PRIMES[-1] < reach:
         candidate += 2
         # Stop at the first prime above sqrt(candidate); the list holds one.
         for p in _PRIMES:
@@ -173,7 +176,7 @@ def _ensure_prime_count(k: int) -> None:
 
 
 def _nth_prime(k: int) -> int:
-    _ensure_prime_count(k)
+    _grow_primes(count=k)
     return _PRIMES[k]
 
 
@@ -255,7 +258,9 @@ class MarkedBasisTarget:
         coeffs = {}
         k = 0
         while m > 1:
-            p = _nth_prime(k)
+            if k == len(_PRIMES):
+                _grow_primes(count=k)
+            p = _PRIMES[k]
             if p * p > m:
                 break
             e = 0
@@ -266,10 +271,10 @@ class MarkedBasisTarget:
                 coeffs[_unpack3(k)] = self._uncode(e - 1)
             k += 1
         if m > 1:
-            while _nth_prime(k) != m:
-                k += 1
-                if _nth_prime(k) > m:
-                    raise ConfigError(f"{m} is not in the enumeration's range")
+            _grow_primes(reach=m)
+            k = bisect_left(_PRIMES, m, k)
+            if _PRIMES[k] != m:
+                raise ConfigError(f"{m} is not in the enumeration's range")
             coeffs[_unpack3(k)] = self._uncode(0)
         return tuple(sorted(coeffs.items()))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,10 +12,12 @@ from laddergroups.presentation import (
     ConfigError,
     FactorialPsi,
     FreeElement,
+    Generator,
     GeneratorMap,
     GroupConfig,
     MapDomainError,
     ScopeError,
+    TablePsi,
     WGEN,
     block_element,
     chain_element,
@@ -233,3 +237,28 @@ def test_config_restrict_truncates_blocks(paired_cfg):
     # restriction beyond the explored depth is the identity on block counts
     same = paired_cfg.restrict(99)
     assert same.system.ladder(W2).block_count == 8
+
+
+def test_generator_hash_is_fixed_at_construction_and_matches_equality():
+    beta = parse_ordinal("w*3+2")
+    a, b = Generator("x", beta), xgen(parse_ordinal("w*3+2"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: 1}
+    table[b] += 1
+    assert table == {xgen(beta): 2}
+    assert ygen(W2, 1) == Generator("y", W2, 1) and hash(ygen(W2, 1)) == hash(Generator("y", W2, 1))
+    assert ygen(W2, 1) != ygen(W2, 2) and ygen(W2, 1) != xgen(W2)
+    assert [f.name for f in dataclasses.fields(Generator)] == ["kind", "ordinal", "index"]
+    assert (str(a), str(ygen(W2, 1)), str(WGEN)) == ("x[w*3+2]", "y[w^2*1,1]", "w")
+    assert a.sort_key() == (0, beta.terms, 0)
+    assert ygen(W2, 1).sort_key() == (1, W2.terms, 1) and WGEN.sort_key() == (2, (), 0)
+    assert Generator("w") == WGEN and hash(Generator("w")) == hash(WGEN)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+
+
+def test_chain_element_names_the_highest_missing_psi_entry():
+    sys = LadderSystem.build(ALPHA, {W2: make_simple_special(W2, 8)})
+    cfg = GroupConfig.all_ones(sys, TablePsi((1, 1, 2)))
+    with pytest.raises(ConfigError, match=r"no entry for n = 5$"):
+        chain_element(cfg, W2, 6)

@@ -17,6 +17,7 @@ from laddergroups.splitting import (
     SearchResult,
     UniformizationData,
     UniformizationError,
+    _pack3,
     _seed_search,
     build_twisted,
     choose_annihilator,
@@ -183,6 +184,20 @@ def test_marked_target_codec_random(items):
     for n, m, j, c in items:
         e = target.add(e, target.scale(c, target.basis(n, m, j)))
     assert target.decode(target.encode(e)) == e
+
+
+def test_marked_target_codec_round_trip_past_pack_index_ten_thousand():
+    # the leftover prime of decode is found in the prime list, not stepped to
+    target = MarkedBasisTarget()
+    far = [(0, 0, 147), (1, 0, 146), (0, 1, 146), (2, 3, 140)]
+    assert all(_pack3(*t) > 10**4 for t in far)
+    elems = [target.basis(*t) for t in far]
+    elems.append(target.scale(-3, target.basis(*far[1])))
+    elems.append(target.add(target.basis(*far[0]), target.scale(2, target.basis(*far[2]))))
+    elems.append(target.sub(target.basis(*far[3]), target.basis(1, 0, 0)))
+    elems.append(target.add(target.basis(*far[1]), target.basis(*far[3])))
+    for e in elems:
+        assert target.decode(target.encode(e)) == e
 
 
 def test_roundtrip_disjoint_system():

@@ -16,14 +16,19 @@ from laddergroups.presentation import (
     ConfigError,
     FactorialPsi,
     FreeElement,
+    GeneratorMap,
     GroupConfig,
+    HomReport,
+    MapDomainError,
     ScopeError,
     TablePsi,
+    WGEN,
     block_element,
     chain_element,
     generator_level,
     membership,
     stage_rewrite,
+    verify_hom,
     xgen,
     ygen,
 )
@@ -325,6 +330,72 @@ def _chain_element_oracle(cfg, delta, n, coloring=None):
     return out
 
 
+def _verify_hom_oracle(gmap, relations):
+    """Every relation's image built in Fraction arithmetic through
+    GeneratorMap.apply."""
+    failures = []
+    for label, rel in relations:
+        image = gmap.apply(rel)
+        if not image.is_zero:
+            failures.append((label, str(image)))
+    return HomReport(not failures, tuple(failures))
+
+
+def _chain_relation_oracle(cfg, delta, n, coloring=None):
+    """psi(n) * y(delta, n+1) - y(delta, n) - block(n) in FreeElement
+    arithmetic."""
+    twist = coloring.color(delta, n) if coloring is not None else None
+    hi = FreeElement.single(ygen(delta, n + 1), cfg.psi(n))
+    return hi - FreeElement.single(ygen(delta, n)) - block_element(cfg, delta, n, twist)
+
+
+def _stage_rewrite_oracle(cfg, depth, e, coloring=None):
+    """Basis coordinates summed in Fraction arithmetic, term by term in
+    basis order."""
+    out = {}
+
+    def bump(g, q):
+        out[g] = out.get(g, Fraction(0)) + q
+
+    for g, q in e.items():
+        if g.kind == "x":
+            bump(g, q)
+        elif g.kind == "w":
+            if coloring is None:
+                raise ScopeError("twist generator outside a twisted stage")
+            bump(WGEN, q)
+        else:
+            if g.index != 0:
+                raise ScopeError(
+                    f"{g} is a formal chain symbol, not an element of the group span"
+                )
+            delta = g.ordinal
+            try:
+                cfg.system.ladder(delta)
+            except KeyError:
+                raise ScopeError(f"{g} indexed outside the ladder system") from None
+            p_i = 1  # P(0, i)
+            for i in range(depth):
+                coeffs = cfg.coeff(delta, i)
+                for a, beta in zip(coeffs, cfg.block_x_indices(delta, i)):
+                    bump(xgen(beta), -q * p_i * a)
+                if coloring is not None:
+                    c = coloring.color(delta, i)
+                    if c:
+                        bump(WGEN, -q * p_i * c)
+                p_i *= cfg.psi(i)
+            bump(ygen(delta, depth), q * p_i)
+    return FreeElement(out)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ScopeError, ConfigError, MapDomainError) as exc:
+        return type(exc), str(exc)
+
+
 @st.composite
 def random_stages(draw):
     depth = draw(st.integers(0, 5))
@@ -390,3 +461,104 @@ def test_relation_check_sees_a_perturbed_chain_element(monkeypatch):
     monkeypatch.setattr(stages, "chain_element", perturbed)
     with pytest.raises(ConfigError, match=r"relation g\[w\^2\*2,2\] does not close"):
         two_delta_stage(depth=5)
+
+
+nonzero_fractions = st.builds(
+    Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_stages(), st.data())
+def test_verify_hom_matches_fraction_oracle(stage_args, data):
+    cfg, alpha, depth, coloring = stage_args
+    sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    relations = sg.formal_relations()
+    assert [rel for _, rel in relations] == [
+        _chain_relation_oracle(cfg, d, n, coloring) for d in sg.deltas for n in range(depth)]
+    realization = sg.realization()
+    assert verify_hom(realization, relations) == _verify_hom_oracle(realization, relations)
+    assert verify_hom(realization, relations).ok
+    gens = sg.presentation_generators()
+    g, h = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+    q = data.draw(nonzero_fractions)
+    images = dict(realization.images)
+    images[g] = images[g] + FreeElement.single(h, q)
+    tampered = GeneratorMap(images)
+    report = verify_hom(tampered, relations)
+    assert report == _verify_hom_oracle(tampered, relations)
+    del images[g]
+    missing = GeneratorMap(images)
+    assert _outcome(verify_hom, missing, relations) == _outcome(
+        _verify_hom_oracle, missing, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_stages(), st.data())
+def test_stage_rewrite_matches_fraction_oracle(stage_args, data):
+    cfg, alpha, depth, coloring = stage_args
+    sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    spanned = [g for g in sg.presentation_generators() if g.kind != "y" or g.index == 0]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(spanned), nonzero_fractions),
+                               max_size=6))
+    e = FreeElement()
+    for g, q in terms:
+        e = e + FreeElement.single(g, q)
+    for d in sg.deltas:
+        e = e + FreeElement.single(ygen(d, 0), data.draw(nonzero_fractions))
+    for rewrite_depth in range(depth + 1):
+        expect = _stage_rewrite_oracle(cfg, rewrite_depth, e, coloring)
+        assert stage_rewrite(cfg, rewrite_depth, e, coloring) == expect
+    # a formal chain symbol, or w outside a twisted stage, fails the same way
+    chain_symbols = [ygen(d, n) for d in sg.deltas for n in range(1, depth + 1)]
+    outside = chain_symbols + ([WGEN] if coloring is None else [])
+    if outside:
+        bad = e + FreeElement.single(data.draw(st.sampled_from(outside)),
+                                     data.draw(nonzero_fractions))
+        outcome = _outcome(stage_rewrite, cfg, rewrite_depth, bad, coloring)
+        assert outcome == _outcome(_stage_rewrite_oracle, cfg, rewrite_depth, bad, coloring)
+        assert outcome[0] is ScopeError
+
+
+def test_stage_rewrite_raises_the_oracle_error_of_the_first_bad_generator():
+    sg = two_delta_stage(depth=4)
+    seed, far_seed = ygen(W2, 0), ygen(W2_2, 0)
+    for e in (
+        FreeElement({far_seed: 1, ygen(W2_2, 2): 1, ygen(W2, 3): 1, WGEN: 1}),
+        FreeElement({WGEN: 2, ygen(W2_2, 1): 1, seed: 1}),
+        FreeElement({WGEN: 2, seed: Fraction(1, 3)}),
+        FreeElement({ygen(parse_ordinal("w^2*3"), 0): 1, ygen(W2_2, 1): 1}),
+    ):
+        outcome = _outcome(stage_rewrite, sg.cfg, 4, e)
+        assert outcome[0] is ScopeError
+        assert outcome == _outcome(_stage_rewrite_oracle, sg.cfg, 4, e)
+
+
+def test_integer_kernels_match_fraction_oracles_on_a_twisted_table_psi_stage():
+    alpha = parse_ordinal("w^2*2+1")
+    sys = LadderSystem.build(
+        alpha, {W2: make_block_special(W2, 6), W2_2: make_simple_special(W2_2, 6)})
+    cfg = GroupConfig.alternating(sys, TablePsi((2, 3, 1, 4, 6, 5)))
+    coloring = Coloring({W2: (1, 0, 1, 1, 0), W2_2: (0, 1, 1, 0, 1)}, 2)
+    sg = build_stage(cfg, alpha, 5, coloring=coloring)
+    for g in sg.presentation_generators():
+        if g.kind == "y":
+            assert sg.realize(g) == _chain_element_oracle(cfg, g.ordinal, g.index, coloring)
+    mixed = FreeElement({ygen(W2, 0): Fraction(-3, 4), ygen(W2_2, 0): Fraction(5, 6),
+                         xgen(sg.x_indices[2]): Fraction(1, 9), WGEN: Fraction(7, 2)})
+    for depth in range(sg.depth + 1):
+        for e in (FreeElement.single(ygen(W2, 0)), FreeElement.single(ygen(W2_2, 0)), mixed):
+            assert stage_rewrite(cfg, depth, e, coloring) == _stage_rewrite_oracle(
+                cfg, depth, e, coloring)
+    relations = sg.formal_relations()
+    images = dict(sg.realization().images)
+    images[ygen(W2, 3)] = images[ygen(W2, 3)] + FreeElement.single(WGEN, Fraction(2, 5))
+    tampered = GeneratorMap(images)
+    report = verify_hom(tampered, relations)
+    assert report == _verify_hom_oracle(tampered, relations)
+    assert [label for label, _ in report.failures] == ["g[w^2*1,2]", "g[w^2*1,3]"]
+    # two generators of one relation missing: the error names the first in order
+    del images[ygen(W2_2, 1)], images[ygen(W2_2, 0)]
+    missing = GeneratorMap(images)
+    outcome = _outcome(verify_hom, missing, relations)
+    assert outcome == _outcome(_verify_hom_oracle, missing, relations)
+    assert outcome == (MapDomainError, repr("generator y[w^2*2,0] outside map domain"))
