@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress, islice
+from math import gcd, isqrt, prod
 
 from .ladders import LadderSystem, is_tree_like
 from .ordinals import Ordinal, format_ordinal
@@ -158,21 +159,38 @@ class IntegerTarget:
 
 
 _PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+# decode walks _PRIMES in blocks of _BLOCK; _BLOCK_PRODUCTS[b] is the product
+# of _PRIMES[b * _BLOCK:(b + 1) * _BLOCK], one entry for each full block.
+_BLOCK = 64
+_BLOCK_PRODUCTS: list[int] = []
 
 
 def _grow_primes(count: int = 0, reach: int = 0) -> None:
     """Extend _PRIMES until it holds more than `count` primes and its last
-    prime is at least `reach`."""
-    candidate = _PRIMES[-1]
+    prime is at least `reach`, and keep _BLOCK_PRODUCTS in step.
+
+    Each pass sieves the odd numbers of the segment
+    [last + 1, min(2 * (last + 1), last**2)) after the last listed prime.
+    Below last**2 every composite has a prime factor below last, so striking
+    the multiples of the listed odd primes up to the segment's square root
+    leaves exactly its primes.  Doubling keeps each segment no longer than
+    the list's own reach, so growing to `reach` stops below 2 * reach."""
     while len(_PRIMES) <= count or _PRIMES[-1] < reach:
-        candidate += 2
-        # Stop at the first prime above sqrt(candidate); the list holds one.
-        for p in _PRIMES:
-            if p * p > candidate:
-                _PRIMES.append(candidate)
+        last = _PRIMES[-1]
+        lo, hi = (last + 1) | 1, min(2 * (last + 1), last * last)
+        # sieve[i] stands for the odd number lo + 2 * i
+        size = (hi - lo + 1) // 2
+        sieve = bytearray(b"\x01") * size
+        for p in islice(_PRIMES, 1, None):
+            if p * p >= hi:
                 break
-            if candidate % p == 0:
-                break
+            j = -lo % p  # lo + j is the first multiple of p from lo
+            if j % 2:  # and it is even, so take the next one
+                j += p
+            sieve[j // 2::p] = bytes(len(range(j // 2, size, p)))
+        _PRIMES.extend(compress(range(lo, hi, 2), sieve))
+    for b in range(len(_BLOCK_PRODUCTS), len(_PRIMES) // _BLOCK):
+        _BLOCK_PRODUCTS.append(prod(_PRIMES[b * _BLOCK:(b + 1) * _BLOCK]))
 
 
 def _nth_prime(k: int) -> int:
@@ -254,22 +272,34 @@ class MarkedBasisTarget:
         return out - 1
 
     def decode(self, m: int) -> MarkedElement:
+        """The element encoded by m.  m + 1 is factored over _PRIMES in
+        blocks of _BLOCK primes: a block whose product is coprime to m is
+        skipped whole, and otherwise only the block's primes dividing the gcd
+        are divided out.  The walk stops at the first block whose first prime
+        p has p * p > m; what is left is then 1 or a prime, found in the list
+        by bisection after growing the list to reach it."""
         m += 1
         coeffs = {}
         k = 0
         while m > 1:
-            if k == len(_PRIMES):
-                _grow_primes(count=k)
-            p = _PRIMES[k]
-            if p * p > m:
+            b = k // _BLOCK
+            if b == len(_BLOCK_PRODUCTS):
+                _grow_primes(count=k + _BLOCK - 1)
+            if _PRIMES[k] ** 2 > m:
                 break
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e:
-                coeffs[_unpack3(k)] = self._uncode(e - 1)
-            k += 1
+            g = gcd(m, _BLOCK_PRODUCTS[b])
+            i = k
+            while g > 1:
+                p = _PRIMES[i]
+                if g % p == 0:
+                    g //= p
+                    e = 0
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    coeffs[_unpack3(i)] = self._uncode(e - 1)
+                i += 1
+            k += _BLOCK
         if m > 1:
             _grow_primes(reach=m)
             k = bisect_left(_PRIMES, m, k)

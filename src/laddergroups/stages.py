@@ -11,6 +11,7 @@ projections and freeness certificates finite computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ordinals import Ordinal, format_ordinal, plus_omega
 from .presentation import (
@@ -68,6 +69,12 @@ class StageGroup:
         return tuple(keys)
 
     def formal_relations(self) -> list[tuple[str, FreeElement]]:
+        """The labelled relations (delta, n) for each delta and n < depth,
+        built on the first call and shared by later ones; read-only."""
+        return self._formal_relations
+
+    @cached_property
+    def _formal_relations(self) -> list[tuple[str, FreeElement]]:
         return [
             (relation_label(d, n), chain_relation(self.cfg, d, n, self.coloring))
             for d in self.deltas

@@ -1,9 +1,13 @@
 import random
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import replace
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laddergroups import splitting
 from laddergroups.equivalence import disjointify
 from laddergroups.ladders import LadderSystem, make_block_special, prefix_special
 from laddergroups.ordinals import format_ordinal, omega_power, parse_ordinal
@@ -19,6 +23,7 @@ from laddergroups.splitting import (
     UniformizationError,
     _pack3,
     _seed_search,
+    _unpack3,
     build_twisted,
     choose_annihilator,
     extend_hom,
@@ -198,6 +203,150 @@ def test_marked_target_codec_round_trip_past_pack_index_ten_thousand():
     elems.append(target.add(target.basis(*far[1]), target.basis(*far[3])))
     for e in elems:
         assert target.decode(target.encode(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# trial division and the per-prime decode walk, kept as the oracles of the
+# segmented sieve and the block-gcd decode
+
+SEED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# grown by the oracles only, and shared by the decode tests
+ORACLE_PRIMES = list(SEED_PRIMES)
+
+
+def grow_primes_oracle(primes, count=0, reach=0):
+    """Extend primes by trial division until it holds more than `count`
+    primes and its last prime is at least `reach`."""
+    candidate = primes[-1]
+    while len(primes) <= count or primes[-1] < reach:
+        candidate += 2
+        for p in primes:
+            if p * p > candidate:
+                primes.append(candidate)
+                break
+            if candidate % p == 0:
+                break
+
+
+def decode_oracle(m, primes):
+    """Factor m + 1 one listed prime at a time, stopping at the first prime
+    p with p * p > m."""
+    m += 1
+    coeffs = {}
+    k = 0
+    while m > 1:
+        if k == len(primes):
+            grow_primes_oracle(primes, count=k)
+        p = primes[k]
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            coeffs[_unpack3(k)] = MarkedBasisTarget._uncode(e - 1)
+        k += 1
+    if m > 1:
+        grow_primes_oracle(primes, reach=m)
+        k = bisect_left(primes, m, k)
+        if primes[k] != m:
+            raise ConfigError(f"{m} is not in the enumeration's range")
+        coeffs[_unpack3(k)] = MarkedBasisTarget._uncode(0)
+    return tuple(sorted(coeffs.items()))
+
+
+def encode_oracle(a, primes):
+    out = 1
+    for t, c in a:
+        grow_primes_oracle(primes, count=_pack3(*t))
+        out *= primes[_pack3(*t)] ** (MarkedBasisTarget._code(c) + 1)
+    return out - 1
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+@contextmanager
+def seed_prime_list():
+    """Run the codec from the ten-prime seed list and no block products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitting, "_PRIMES", list(SEED_PRIMES))
+        mp.setattr(splitting, "_BLOCK_PRODUCTS", [])
+        yield
+
+
+def assert_block_products_in_step():
+    primes, block = splitting._PRIMES, splitting._BLOCK
+    assert splitting._BLOCK_PRODUCTS == [
+        prod(primes[i:i + block]) for i in range(0, len(primes) - block + 1, block)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 30000)), min_size=1, max_size=5))
+def test_prime_list_grown_in_steps_matches_trial_division(steps):
+    want = list(SEED_PRIMES)
+    with seed_prime_list():
+        for count, reach in steps:
+            splitting._grow_primes(count, reach)
+            got = splitting._PRIMES
+            assert len(got) > count and got[-1] >= reach
+            grow_primes_oracle(want, reach=got[-1])
+            assert got == want
+            assert_block_products_in_step()
+
+
+def test_prime_list_to_a_million_is_the_primes_below_it():
+    # every segment is exact, and doubling keeps the overshoot below 2 * n
+    n = 10**6
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, 1001):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    below = [i for i in range(n) if sieve[i]]
+    assert len(below) == 78498
+    with seed_prime_list():
+        splitting._grow_primes(reach=n)
+        assert splitting._PRIMES[:len(below)] == below
+        assert splitting._PRIMES[len(below)] > n
+        assert splitting._PRIMES[-1] < 2 * n
+        assert_block_products_in_step()
+
+
+def test_codec_decode_matches_oracle_below_2_16():
+    target = MarkedBasisTarget()
+    with seed_prime_list():
+        for m in range(2**16):
+            assert outcome(target.decode, m) == outcome(decode_oracle, m, ORACLE_PRIMES)
+        assert_block_products_in_step()
+
+
+# decoding a random large integer can leave a huge prime to reach, so only
+# encodings are decoded here: their primes have known indices
+far_terms = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(141, 170)),
+                      st.integers(-4, 4).filter(bool))
+any_terms = st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 170)),
+                      st.integers(-4, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_terms, st.lists(any_terms, max_size=3))
+def test_codec_decode_matches_oracle_past_pack_index_ten_thousand(far, rest):
+    target = MarkedBasisTarget()
+    e = target.zero
+    for t, c in [far, *rest]:
+        e = target.add(e, target.scale(c, target.basis(*t)))
+    m = encode_oracle(e, ORACLE_PRIMES)
+    with seed_prime_list():
+        assert outcome(target.decode, m) == outcome(decode_oracle, m, ORACLE_PRIMES) == ("value", e)
+        assert target.encode(e) == m
+        assert_block_products_in_step()
 
 
 def test_roundtrip_disjoint_system():

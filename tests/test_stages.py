@@ -25,8 +25,10 @@ from laddergroups.presentation import (
     WGEN,
     block_element,
     chain_element,
+    chain_relation,
     generator_level,
     membership,
+    relation_label,
     stage_rewrite,
     verify_hom,
     xgen,
@@ -34,6 +36,7 @@ from laddergroups.presentation import (
 )
 from laddergroups.splitting import Coloring
 from laddergroups.stages import (
+    StageGroup,
     build_stage,
     filtration_subgroup,
     freeness_basis,
@@ -79,6 +82,28 @@ def test_build_example_presets():
     rel2 = sg2.formal_relations()[0][1]
     assert rel2.coeff(xgen(nu.entries[0])) == -1
     assert rel2.coeff(xgen(nu.entries[1])) == 1
+
+
+def test_formal_relations_built_once_per_stage(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chain_relation(*args)
+
+    monkeypatch.setattr(stages, "chain_relation", counted)
+    sg = two_delta_stage(depth=4)
+    relations = sg.formal_relations()
+    assert len(calls) == len(relations) == 2 * 4
+    assert sg.formal_relations() is relations
+    assert len(calls) == 8
+    by_hand = StageGroup(sg.cfg, sg.alpha, sg.depth)
+    assert by_hand.formal_relations() == relations
+    assert len(calls) == 16
+    assert relations == [
+        (relation_label(d, n), chain_relation(sg.cfg, d, n, None))
+        for d in sg.deltas for n in range(sg.depth)
+    ]
 
 
 def test_build_catches_shallow_ladders():
