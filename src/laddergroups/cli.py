@@ -18,7 +18,6 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 
 from .equivalence import (
     build_matched_stages,
@@ -325,7 +324,7 @@ def _check_validate(ctx, chk, where):
     return {
         "ok": all(rep.ok for rep in reports.values()),
         "alpha": format_ordinal(system.alpha),
-        "ladders": {tag: asdict(rep) for tag, rep in reports.items()},
+        "ladders": {tag: dict(vars(rep)) for tag, rep in reports.items()},
         "tree_like": tree.ok,
         "tree_witness": list(tree.witness) if tree.witness else None,
     }
@@ -354,7 +353,7 @@ def _check_project(ctx, chk, where):
     sg = build_stage(cfg, alpha, depth)
     reports = [projection(sg, nu)[1] for nu in levels]
     ok = all(rep.ok for rep in reports)
-    return {"ok": ok, "depth": depth, "projections": [asdict(rep) for rep in reports]}
+    return {"ok": ok, "depth": depth, "projections": [dict(vars(rep)) for rep in reports]}
 
 
 def _check_equiv(ctx, chk, where):
@@ -373,7 +372,7 @@ def _check_equiv(ctx, chk, where):
         "tails_disjoint": d.certified,
         "overlap_coincidences": overlap.coincidences,
         "overlap_violations": list(overlap.violations),
-        "iso": asdict(rep),
+        "iso": dict(vars(rep)),
     }
 
 
@@ -438,7 +437,7 @@ def _check_extend(ctx, chk, where):
             for dd in sg.deltas
             for k in range(data.thresholds[dd], min(2 * depth, coloring.depth(dd)))
         )
-        out["recover"] = asdict(rrep)
+        out["recover"] = dict(vars(rrep))
         out["recovered_tail_colors_match"] = tails_match
         out["ok"] = out["ok"] and rrep.ok and tails_match
     return out

@@ -203,15 +203,11 @@ def validate_special(sl: SpecialLadder) -> LadderReport:
 
 @dataclass(frozen=True)
 class OmegaRange:
-    """Per-block "+ omega" values of a special ladder, with the per-index
-    expansion recoverable from block condition (a)."""
+    """Per-block "+ omega" values of a special ladder; by block condition
+    (a) every index of block n has the value blocks[n]."""
 
     delta: Ordinal
     blocks: tuple[Ordinal, ...]
-    expanded: tuple[tuple[int, Ordinal], ...]
-
-    def per_index(self) -> dict[int, Ordinal]:
-        return dict(self.expanded)
 
 
 def omega_range(sl: SpecialLadder) -> OmegaRange:
@@ -219,12 +215,7 @@ def omega_range(sl: SpecialLadder) -> OmegaRange:
     if not report.ok:
         raise LadderInvalidError("; ".join(report.errors))
     blocks = tuple(plus_omega(sl.head(n)) for n in range(sl.block_count))
-    expanded = tuple(
-        (sl.k(n) + l, blocks[n])
-        for n in range(sl.block_count)
-        for l in range(sl.t(n))
-    )
-    return OmegaRange(sl.delta, blocks, expanded)
+    return OmegaRange(sl.delta, blocks)
 
 
 def _rule_for(delta: Ordinal, offsets: tuple[tuple[int, ...], ...]) -> BlockRule:

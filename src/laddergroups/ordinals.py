@@ -54,17 +54,8 @@ class Ordinal:
         return not self.terms
 
     @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] == 0
-
-    @property
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] >= 1
-
-    def classify(self) -> str:
-        if self.is_zero:
-            return "zero"
-        return "successor" if self.is_successor else "limit"
 
     @property
     def divisible_by_omega_squared(self) -> bool:

@@ -101,84 +101,91 @@ def generator_level(g: Generator) -> Ordinal:
 
 
 class FreeElement:
-    """Immutable finite rational combination of generators."""
+    """Immutable finite rational combination of generators, stored as integer
+    numerators over one positive denominator, in lowest terms: equal
+    elements have equal numerators and denominators."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_den", "_nums", "_hash")
 
-    def __init__(self, coeffs: dict[Generator, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for g, q in coeffs.items():
-                if type(q) is not Fraction:
-                    q = Fraction(q)
-                if q:
-                    clean[g] = q
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def single(cls, g: Generator, coeff: Rat = 1) -> "FreeElement":
-        return cls({g: Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coeff(self, g: Generator) -> Fraction:
-        return self._coeffs.get(g, Fraction(0))
-
-    def support(self) -> tuple[Generator, ...]:
-        return tuple(sorted(self._coeffs, key=Generator.sort_key))
-
-    def items(self) -> list[tuple[Generator, Fraction]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def integer_form(self) -> tuple[int, dict[Generator, int]]:
-        """(d, nums) with self = sum of nums[g] / d * g, where d is the lcm
-        of the coefficient denominators (1 for the zero element)."""
-        coeffs = self._coeffs
-        d = lcm(*[q.denominator for q in coeffs.values()])
-        return d, {g: q.numerator * (d // q.denominator) for g, q in coeffs.items()}
+    def __init__(self, coeffs: dict[Generator, Rat] | None = None):
+        # over the lcm of reduced denominators the numerators have gcd 1
+        qs = [(g, Fraction(q)) for g, q in coeffs.items() if q] if coeffs else []
+        d = lcm(*[q.denominator for _, q in qs])
+        self._den = d
+        self._nums = {g: q.numerator * (d // q.denominator) for g, q in qs}
+        self._hash = None
 
     @classmethod
     def from_numerators(cls, d: int, nums: dict[Generator, int]) -> "FreeElement":
         """The element sum of nums[g] / d * g, for a positive integer d."""
+        nums = {g: n for g, n in nums.items() if n}
+        k = gcd(d, *nums.values())
+        if k != 1:
+            d //= k
+            nums = {g: n // k for g, n in nums.items()}
         out = cls.__new__(cls)
-        object.__setattr__(out, "_coeffs", {g: Fraction(n, d) for g, n in nums.items() if n})
-        object.__setattr__(out, "_hash", None)
+        out._den, out._nums, out._hash = d, nums, None
         return out
 
+    @classmethod
+    def single(cls, g: Generator, coeff: Rat = 1) -> "FreeElement":
+        return cls({g: coeff})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def coeff(self, g: Generator) -> Fraction:
+        return Fraction(self._nums.get(g, 0), self._den)
+
+    def support(self) -> tuple[Generator, ...]:
+        return tuple(sorted(self._nums, key=Generator.sort_key))
+
+    def items(self) -> list[tuple[Generator, Fraction]]:
+        d = self._den
+        return [(g, Fraction(self._nums[g], d)) for g in self.support()]
+
+    def integer_form(self) -> tuple[int, dict[Generator, int]]:
+        """(d, nums) with self = sum of nums[g] / d * g in lowest terms (d is
+        1 for the zero element).  nums is the element's own dict: read it,
+        do not modify it."""
+        return self._den, self._nums
+
+    def _combine(self, other: "FreeElement", sign: int) -> "FreeElement":
+        """self + sign * other over the lcm of the two denominators."""
+        a, b = self._den, other._den
+        d = lcm(a, b)
+        ma, mb = d // a, sign * (d // b)
+        out = {g: n * ma for g, n in self._nums.items()}
+        for g, n in other._nums.items():
+            out[g] = out.get(g, 0) + n * mb
+        return FreeElement.from_numerators(d, out)
+
     def __add__(self, other: "FreeElement") -> "FreeElement":
-        out = dict(self._coeffs)
-        for g, q in other._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + q
-        return FreeElement(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
-        out = dict(self._coeffs)
-        for g, q in other._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) - q
-        return FreeElement(out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "FreeElement":
-        return FreeElement({g: -q for g, q in self._coeffs.items()})
+        return FreeElement.from_numerators(self._den, {g: -n for g, n in self._nums.items()})
 
     def scale(self, q: Rat) -> "FreeElement":
         q = Fraction(q)
-        if not q:
-            return ZERO_ELEMENT
-        return FreeElement({g: q * c for g, c in self._coeffs.items()})
+        a = q.numerator
+        return FreeElement.from_numerators(
+            self._den * q.denominator, {g: a * n for g, n in self._nums.items()})
 
     __rmul__ = scale
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElement) and self._coeffs == other._coeffs
+        return (isinstance(other, FreeElement) and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(tuple((g, q) for g, q in self.items()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self._den, frozenset(self._nums.items())))
         return h
 
     def __str__(self) -> str:
@@ -196,9 +203,6 @@ class FreeElement:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-ZERO_ELEMENT = FreeElement()
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +273,22 @@ class GeneratorMap:
             raise MapDomainError(f"generator {g} outside map domain") from None
 
     def apply(self, e: FreeElement) -> FreeElement:
-        out: dict[Generator, Fraction] = {}
-        for g, q in e.items():
-            img = self.image_of(g)
-            for h, c in img.items():
-                out[h] = out.get(h, Fraction(0)) + q * c
-        return FreeElement(out)
+        """The image of e, summed in integer numerators over the lcm of the
+        denominators of the images it touches.  A generator outside the
+        domain raises MapDomainError, naming the first in basis order."""
+        d, nums = e.integer_form()
+        images = self.images
+        missing = [g for g in nums if g not in images]
+        if missing:
+            self.image_of(min(missing, key=Generator.sort_key))  # raises
+        forms = [(n, images[g].integer_form()) for g, n in nums.items()]
+        d_img = lcm(*[d_g for _, (d_g, _) in forms])
+        out: dict[Generator, int] = {}
+        for n, (d_g, img) in forms:
+            n *= d_img // d_g
+            for h, m in img.items():
+                out[h] = out.get(h, 0) + n * m
+        return FreeElement.from_numerators(d * d_img, out)
 
 
 def compose_maps(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
@@ -291,31 +305,12 @@ def verify_hom(
     gmap: GeneratorMap, relations: list[tuple[str, FreeElement]]
 ) -> HomReport:
     """A map out of the presented group must kill every relation; report the
-    nonzero images.
-
-    Each relation's image is summed in integers over the lcm of the
-    denominators of the images it touches; only an image that does not
-    vanish is rebuilt through gmap.apply, to render it."""
-    forms: dict[Generator, tuple[int, dict[Generator, int]]] = {}
+    nonzero images."""
     failures = []
     for label, rel in relations:
-        _, rel_nums = rel.integer_form()
-        try:
-            for g in rel_nums:
-                if g not in forms:
-                    forms[g] = gmap.image_of(g).integer_form()
-        except MapDomainError:
-            gmap.apply(rel)  # raises for the first missing generator in order
-            raise
-        d = lcm(*[forms[g][0] for g in rel_nums])
-        acc: dict[Generator, int] = {}
-        for g, n in rel_nums.items():
-            d_g, img = forms[g]
-            n *= d // d_g
-            for h, m in img.items():
-                acc[h] = acc.get(h, 0) + n * m
-        if any(acc.values()):
-            failures.append((label, str(gmap.apply(rel))))
+        image = gmap.apply(rel)
+        if not image.is_zero:
+            failures.append((label, str(image)))
     return HomReport(not failures, tuple(failures))
 
 
@@ -453,21 +448,23 @@ def block_element(
     """The block combination sum_l a_l * x[ladder(k_n + l)], plus twist * w
     when a twist coefficient is supplied."""
     coeffs = cfg.coeff(delta, n)
-    out = {xgen(b): Fraction(a) for a, b in zip(coeffs, cfg.block_x_indices(delta, n))}
+    out = {xgen(b): a for a, b in zip(coeffs, cfg.block_x_indices(delta, n))}
     if twist:
-        out[WGEN] = Fraction(twist)
-    return FreeElement(out)
+        out[WGEN] = twist
+    return FreeElement.from_numerators(1, out)
 
 
 def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     """The n-th division chain element of delta, concretely in the ambient
     module: seed / P(0, n) + sum_{i<n} block(i) / P(i, n), where P(i, n) is
     the product of psi(j) for i <= j < n.  With a coloring the blocks carry
-    their twist term, realizing the twisted chain.
+    their twist term, realizing the twisted chain."""
+    return FreeElement.from_numerators(*_chain_numerators(cfg, delta, n, coloring))
 
-    Over the common denominator P(0, n) this is the integer prefix sum
-    seed + sum_{i<n} P(0, i) * block(i), which is what gets accumulated.
-    """
+
+def _chain_numerators(cfg, delta: Ordinal, n: int, coloring) -> tuple[int, dict]:
+    """(P(0, n), nums) with nums the integer numerators of P(0, n) *
+    chain(delta, n): the prefix sum seed + sum_{i<n} P(0, i) * block(i)."""
     sl = cfg.system.ladder(delta)
     if n > sl.block_count:
         raise ScopeError(f"chain index {n} beyond explored blocks of {delta}")
@@ -486,7 +483,7 @@ def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
         if twist:
             nums[WGEN] = nums.get(WGEN, 0) + p * twist
         p *= psi
-    return FreeElement.from_numerators(p, nums)
+    return p, nums
 
 
 def chain_relation(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
@@ -515,55 +512,42 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
     The basis is {chain(delta, N)} for delta in the system plus the x
     generators (plus w for twisted stages); basis coordinates are returned
     as a combination of the formal keys y(delta, N), x[beta] and w.  A seed
-    y(delta, 0) is chain(delta, N) * P(0, N) minus sum_{i<N} P(0, i) *
-    block(i); the coordinates are summed as integer numerators over the lcm
-    of e's denominators.
+    y(delta, 0) is P(0, N) * chain(delta, N) minus sum_{i<N} P(0, i) *
+    block(i); the coordinates are summed as integer numerators over e's
+    denominator.  Only y and w terms can be out of scope, and they are
+    rewritten in basis order, so the first offending generator raises.
     """
     d, nums = e.integer_form()
-    try:
-        out = _rewrite_numerators(cfg, depth, nums.items(), coloring)
-    except Exception:
-        # raise what the first offending generator in basis order raises
-        in_order = sorted(nums.items(), key=lambda kv: kv[0].sort_key())
-        _rewrite_numerators(cfg, depth, in_order, coloring)
-        raise
-    return FreeElement.from_numerators(d, out)
-
-
-def _rewrite_numerators(cfg, depth: int, terms, coloring) -> dict[Generator, int]:
-    """stage_rewrite on integer numerators: the (generator, numerator) terms
-    rewritten over the basis keys, generator by generator."""
     out: dict[Generator, int] = {}
-    for g, n in terms:
+    rest = []
+    for g, n in nums.items():
         if g.kind == "x":
             out[g] = out.get(g, 0) + n
-        elif g.kind == "w":
+        else:
+            rest.append(g)
+    for g in sorted(rest, key=Generator.sort_key):
+        n = nums[g]
+        if g.kind == "w":
             if coloring is None:
                 raise ScopeError("twist generator outside a twisted stage")
             out[WGEN] = out.get(WGEN, 0) + n
-        else:
-            if g.index != 0:
-                raise ScopeError(
-                    f"{g} is a formal chain symbol, not an element of the group span"
-                )
-            delta = g.ordinal
-            try:
-                sl = cfg.system.ladder(delta)
-            except KeyError:
-                raise ScopeError(f"{g} indexed outside the ladder system") from None
-            weight = n  # n * P(0, i)
-            for i in range(depth):
-                for a, beta in zip(cfg.coeff(delta, i), sl.block_values(i)):
-                    x = xgen(beta)
-                    out[x] = out.get(x, 0) - weight * a
-                if coloring is not None:
-                    c = coloring.color(delta, i)
-                    if c:
-                        out[WGEN] = out.get(WGEN, 0) - weight * c
-                weight *= cfg.psi(i)
-            key = ygen(delta, depth)
-            out[key] = out.get(key, 0) + weight
-    return out
+            continue
+        if g.index != 0:
+            raise ScopeError(
+                f"{g} is a formal chain symbol, not an element of the group span"
+            )
+        delta = g.ordinal
+        if delta not in cfg.system.deltas:
+            raise ScopeError(f"{g} indexed outside the ladder system")
+        p, row = _chain_numerators(cfg, delta, depth, coloring)
+        # row is P(0, N) * chain(delta, N) with seed term 1: subtract all of
+        # it but the seed, and add P(0, N) * y(delta, N)
+        for h, c in row.items():
+            out[h] = out.get(h, 0) - n * c
+        out[g] += n
+        key = ygen(delta, depth)
+        out[key] = out.get(key, 0) + n * p
+    return FreeElement.from_numerators(d, out)
 
 
 @dataclass(frozen=True)
@@ -575,10 +559,9 @@ class MembershipResult:
 
 def membership(cfg, depth: int, e: FreeElement, coloring=None) -> MembershipResult:
     """Integer-span membership in the depth-N stage, with the least positive
-    multiple landing in it (the lcm of coordinate denominators)."""
+    multiple landing in it (the denominator of the coordinates)."""
     coords = stage_rewrite(cfg, depth, e, coloring)
-    denoms = [q.denominator for _, q in coords.items()]
-    mult = lcm(*denoms) if denoms else 1
+    mult = coords.integer_form()[0]
     return MembershipResult(mult == 1, mult, coords)
 
 
@@ -587,12 +570,7 @@ def membership_at_level(
 ) -> bool:
     """Membership in the filtration subgroup at the given level: integral
     coordinates supported on basis keys admitted at that level."""
-    coords = stage_rewrite(cfg, depth, e, coloring)
-    for g, q in coords.items():
-        if q.denominator != 1:
-            return False
-        if g.kind == "w":
-            continue
-        if level < generator_level(g):
-            return False
-    return True
+    d, nums = stage_rewrite(cfg, depth, e, coloring).integer_form()
+    return d == 1 and not any(
+        g.kind != "w" and level < generator_level(g) for g in nums
+    )

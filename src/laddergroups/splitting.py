@@ -14,6 +14,7 @@ annihilated x lift, demand n! * delta = +-1, which no integer satisfies.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -163,6 +164,9 @@ _PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 # of _PRIMES[b * _BLOCK:(b + 1) * _BLOCK], one entry for each full block.
 _BLOCK = 64
 _BLOCK_PRODUCTS: list[int] = []
+# _grow_primes checks and extends both lists under this lock, so threads
+# can share them; decode and _nth_prime only read prefixes already grown
+_PRIMES_LOCK = threading.Lock()
 
 
 def _grow_primes(count: int = 0, reach: int = 0) -> None:
@@ -175,22 +179,23 @@ def _grow_primes(count: int = 0, reach: int = 0) -> None:
     the multiples of the listed odd primes up to the segment's square root
     leaves exactly its primes.  Doubling keeps each segment no longer than
     the list's own reach, so growing to `reach` stops below 2 * reach."""
-    while len(_PRIMES) <= count or _PRIMES[-1] < reach:
-        last = _PRIMES[-1]
-        lo, hi = (last + 1) | 1, min(2 * (last + 1), last * last)
-        # sieve[i] stands for the odd number lo + 2 * i
-        size = (hi - lo + 1) // 2
-        sieve = bytearray(b"\x01") * size
-        for p in islice(_PRIMES, 1, None):
-            if p * p >= hi:
-                break
-            j = -lo % p  # lo + j is the first multiple of p from lo
-            if j % 2:  # and it is even, so take the next one
-                j += p
-            sieve[j // 2::p] = bytes(len(range(j // 2, size, p)))
-        _PRIMES.extend(compress(range(lo, hi, 2), sieve))
-    for b in range(len(_BLOCK_PRODUCTS), len(_PRIMES) // _BLOCK):
-        _BLOCK_PRODUCTS.append(prod(_PRIMES[b * _BLOCK:(b + 1) * _BLOCK]))
+    with _PRIMES_LOCK:
+        while len(_PRIMES) <= count or _PRIMES[-1] < reach:
+            last = _PRIMES[-1]
+            lo, hi = (last + 1) | 1, min(2 * (last + 1), last * last)
+            # sieve[i] stands for the odd number lo + 2 * i
+            size = (hi - lo + 1) // 2
+            sieve = bytearray(b"\x01") * size
+            for p in islice(_PRIMES, 1, None):
+                if p * p >= hi:
+                    break
+                j = -lo % p  # lo + j is the first multiple of p from lo
+                if j % 2:  # and it is even, so take the next one
+                    j += p
+                sieve[j // 2::p] = bytes(len(range(j // 2, size, p)))
+            _PRIMES.extend(compress(range(lo, hi, 2), sieve))
+        for b in range(len(_BLOCK_PRODUCTS), len(_PRIMES) // _BLOCK):
+            _BLOCK_PRODUCTS.append(prod(_PRIMES[b * _BLOCK:(b + 1) * _BLOCK]))
 
 
 def _nth_prime(k: int) -> int:
@@ -342,10 +347,10 @@ class ExtensionHom:
             ) from None
 
     def apply(self, e: FreeElement):
+        if e.integer_form()[0] != 1:
+            raise ScopeError("extension applies to integer combinations only")
         out = self.target.zero
         for g, q in e.items():
-            if q.denominator != 1:
-                raise ScopeError("extension applies to integer combinations only")
             if g.kind == "x":
                 val = self.on_x(g.ordinal)
             elif g.kind == "y":

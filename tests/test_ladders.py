@@ -77,9 +77,6 @@ def test_omega_range_paired_blocks():
     assert [str(e) for e in eta.entries[:4]] == ["w*1+1", "w*1+2", "w*2+1", "w*2+2"]
     rng = omega_range(eta)
     assert [str(b) for b in rng.blocks] == [f"w*{n + 2}" for n in range(6)]
-    per_index = rng.per_index()
-    for n in range(6):
-        assert per_index[2 * n] == per_index[2 * n + 1] == rng.blocks[n]
 
 
 def test_omega_range_single_block():

@@ -70,12 +70,6 @@ def test_add_monotone(a, b):
     assert (a < total) == (not b.is_zero)
 
 
-def test_classify():
-    assert omega_power(2, 3).classify() == "limit"
-    assert (OMEGA + nat(7)).classify() == "successor"
-    assert ZERO.classify() == "zero"
-
-
 def test_omega_squared_divisibility():
     assert omega_power(2, 4).divisible_by_omega_squared
     assert not (omega_power(2) + OMEGA).divisible_by_omega_squared

@@ -1,10 +1,13 @@
 import dataclasses
 import pickle
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laddergroups.ladders import LadderSystem, make_block_special, make_simple_special
 from laddergroups.ordinals import nat, omega_power, parse_ordinal
@@ -16,12 +19,14 @@ from laddergroups.presentation import (
     GeneratorMap,
     GroupConfig,
     MapDomainError,
+    Rat,
     ScopeError,
     TablePsi,
     WGEN,
     block_element,
     chain_element,
     chain_relation,
+    compose_maps,
     generator_level,
     membership,
     stage_rewrite,
@@ -32,6 +37,142 @@ from laddergroups.presentation import (
 
 W2 = omega_power(2)
 ALPHA = parse_ordinal("w^2+1")
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-backed FreeElement and GeneratorMap.apply that the integer
+# representation replaced, kept as the oracle of its arithmetic.
+
+
+class FractionElement:
+    """Immutable finite rational combination of generators."""
+
+    __slots__ = ("_coeffs", "_hash")
+
+    def __init__(self, coeffs: dict[Generator, Fraction] | None = None):
+        clean = {}
+        if coeffs:
+            for g, q in coeffs.items():
+                if type(q) is not Fraction:
+                    q = Fraction(q)
+                if q:
+                    clean[g] = q
+        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def single(cls, g: Generator, coeff: Rat = 1) -> "FractionElement":
+        return cls({g: Fraction(coeff)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def coeff(self, g: Generator) -> Fraction:
+        return self._coeffs.get(g, Fraction(0))
+
+    def support(self) -> tuple[Generator, ...]:
+        return tuple(sorted(self._coeffs, key=Generator.sort_key))
+
+    def items(self) -> list[tuple[Generator, Fraction]]:
+        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+
+    def integer_form(self) -> tuple[int, dict[Generator, int]]:
+        """(d, nums) with self = sum of nums[g] / d * g, where d is the lcm
+        of the coefficient denominators (1 for the zero element)."""
+        coeffs = self._coeffs
+        d = lcm(*[q.denominator for q in coeffs.values()])
+        return d, {g: q.numerator * (d // q.denominator) for g, q in coeffs.items()}
+
+    @classmethod
+    def from_numerators(cls, d: int, nums: dict[Generator, int]) -> "FractionElement":
+        """The element sum of nums[g] / d * g, for a positive integer d."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_coeffs", {g: Fraction(n, d) for g, n in nums.items() if n})
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    def __add__(self, other: "FractionElement") -> "FractionElement":
+        out = dict(self._coeffs)
+        for g, q in other._coeffs.items():
+            out[g] = out.get(g, Fraction(0)) + q
+        return FractionElement(out)
+
+    def __sub__(self, other: "FractionElement") -> "FractionElement":
+        out = dict(self._coeffs)
+        for g, q in other._coeffs.items():
+            out[g] = out.get(g, Fraction(0)) - q
+        return FractionElement(out)
+
+    def __neg__(self) -> "FractionElement":
+        return FractionElement({g: -q for g, q in self._coeffs.items()})
+
+    def scale(self, q: Rat) -> "FractionElement":
+        q = Fraction(q)
+        if not q:
+            return FRACTION_ZERO
+        return FractionElement({g: q * c for g, c in self._coeffs.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionElement) and self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(tuple((g, q) for g, q in self.items()))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts: list[str] = []
+        for g, q in self.items():
+            mag = q if q > 0 else -q
+            coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            term = f"{coeff}*{g}"
+            if not parts:
+                parts.append(term if q > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if q > 0 else f"- {term}")
+        return " ".join(parts)
+
+    __repr__ = __str__
+
+
+FRACTION_ZERO = FractionElement()
+
+
+@dataclass(frozen=True)
+class FractionMap:
+    """Finite generator-to-element mapping, extended linearly.
+
+    Application outside the declared domain is a hard error, not zero."""
+
+    images: dict[Generator, FractionElement] = field(repr=False)
+
+    def domain(self) -> tuple[Generator, ...]:
+        return tuple(sorted(self.images, key=Generator.sort_key))
+
+    def image_of(self, g: Generator) -> FractionElement:
+        try:
+            return self.images[g]
+        except KeyError:
+            raise MapDomainError(f"generator {g} outside map domain") from None
+
+    def apply(self, e: FractionElement) -> FractionElement:
+        out: dict[Generator, Fraction] = {}
+        for g, q in e.items():
+            img = self.image_of(g)
+            for h, c in img.items():
+                out[h] = out.get(h, Fraction(0)) + q * c
+        return FractionElement(out)
+
+
+def fraction_compose(outer: FractionMap, inner: FractionMap) -> FractionMap:
+    return FractionMap({g: outer.apply(img) for g, img in inner.images.items()})
 
 
 def expanded_relation(cfg, delta, n):
@@ -262,3 +403,77 @@ def test_chain_element_names_the_highest_missing_psi_entry():
     cfg = GroupConfig.all_ones(sys, TablePsi((1, 1, 2)))
     with pytest.raises(ConfigError, match=r"no entry for n = 5$"):
         chain_element(cfg, W2, 6)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against the Fraction oracle
+
+ORACLE_GENS = (
+    xgen(nat(1)), xgen(nat(4)), xgen(parse_ordinal("w*2+1")), ygen(W2, 0), ygen(W2, 3), WGEN,
+)
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+coeff_dicts = st.dictionaries(st.sampled_from(ORACLE_GENS), fractions | st.integers(-5, 5),
+                              max_size=5)
+
+
+def assert_agree(new, old):
+    """The two classes give the same element, in every reading."""
+    d, nums = new.integer_form()
+    assert d > 0 and gcd(d, *nums.values()) == 1
+    assert (d, nums) == old.integer_form()
+    assert new.items() == old.items()
+    assert new.support() == old.support() and new.is_zero == old.is_zero
+    assert str(new) == str(old)
+    assert all(new.coeff(g) == old.coeff(g) for g in ORACLE_GENS)
+
+
+def same_value(a, b):
+    """Equal, and equal in hash."""
+    return a == b and hash(a) == hash(b)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MapDomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_dicts, coeff_dicts, fractions.filter(bool), st.data())
+def test_free_element_matches_fraction_oracle(ca, cb, q, data):
+    a, b, oa, ob = FreeElement(ca), FreeElement(cb), FractionElement(ca), FractionElement(cb)
+    for new, old in ((a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob), (-a, -oa)):
+        assert_agree(new, old)
+    for s in (q, 0, -3, Fraction(2, 3)):
+        assert_agree(a.scale(s), oa.scale(s))
+        assert_agree(s * a, s * oa)
+    assert (a == b) == (oa == ob)
+    # equal values reached by different routes are equal and hash alike
+    assert same_value((a + b) - b, a) and same_value(a + b, b + a)
+    assert same_value(a.scale(q).scale(1 / q), a) and same_value(-(-a), a)
+    assert same_value(a - a, FreeElement()) and same_value(a.scale(0), b - b)
+    assert same_value(a + a, a.scale(2))
+    d = data.draw(st.integers(1, 36))
+    nums = data.draw(st.dictionaries(st.sampled_from(ORACLE_GENS), st.integers(-40, 40)))
+    assert_agree(FreeElement.from_numerators(d, nums), FractionElement.from_numerators(d, nums))
+    # maps: apply, composition, and the error for a generator outside the domain
+    inner = {g: data.draw(coeff_dicts) for g in ORACLE_GENS}
+    outer = {g: data.draw(coeff_dicts) for g in ORACLE_GENS}
+    new_in = GeneratorMap({g: FreeElement(c) for g, c in inner.items()})
+    new_out = GeneratorMap({g: FreeElement(c) for g, c in outer.items()})
+    old_in = FractionMap({g: FractionElement(c) for g, c in inner.items()})
+    old_out = FractionMap({g: FractionElement(c) for g, c in outer.items()})
+    assert_agree(new_in.apply(a), old_in.apply(oa))
+    composed, old_composed = compose_maps(new_out, new_in), fraction_compose(old_out, old_in)
+    for g in ORACLE_GENS:
+        assert_agree(composed.image_of(g), old_composed.image_of(g))
+    assert same_value(composed.apply(a), new_out.apply(new_in.apply(a)))
+    kept = data.draw(st.sets(st.sampled_from(ORACLE_GENS)))
+    partial = GeneratorMap({g: FreeElement(inner[g]) for g in kept})
+    old_partial = FractionMap({g: FractionElement(inner[g]) for g in kept})
+    new_result, old_result = outcome(partial.apply, a), outcome(old_partial.apply, oa)
+    if isinstance(old_result, tuple):
+        assert new_result == old_result
+    else:
+        assert_agree(new_result, old_result)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import replace
@@ -299,6 +301,36 @@ def test_prime_list_grown_in_steps_matches_trial_division(steps):
             grow_primes_oracle(want, reach=got[-1])
             assert got == want
             assert_block_products_in_step()
+
+
+def test_prime_list_grown_by_eight_threads_matches_trial_division():
+    # a tiny switch interval makes the threads interleave inside the sieve;
+    # without the lock the lists came out duplicated or unsorted
+    counts = [20000 + 37 * i for i in range(8)]
+    want = list(SEED_PRIMES)
+    grow_primes_oracle(want, count=max(counts))
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(6):
+            with seed_prime_list():
+                got = {}
+                threads = [
+                    threading.Thread(target=lambda k=k: got.update({k: splitting._nth_prime(k)}))
+                    for k in counts
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == {k: want[k] for k in counts}
+                grown = splitting._PRIMES
+                grow_primes_oracle(want, reach=grown[-1])
+                assert grown == want[:len(grown)] and len(grown) > max(counts)
+                assert_block_products_in_step()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_prime_list_to_a_million_is_the_primes_below_it():

@@ -23,7 +23,6 @@ from laddergroups.presentation import (
     ScopeError,
     TablePsi,
     WGEN,
-    block_element,
     chain_element,
     chain_relation,
     generator_level,
@@ -42,6 +41,7 @@ from laddergroups.stages import (
     freeness_basis,
     projection,
 )
+from test_presentation import FractionElement, FractionMap
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -344,34 +344,48 @@ def test_freeness_with_positive_first_breakpoint():
     assert xgen(nat(3)) in fb.basis
 
 
+def _as_oracle(e):
+    """e as a Fraction-backed oracle element, read off its coefficients."""
+    return FractionElement(dict(e.items()))
+
+
+def _block_oracle(cfg, delta, n, twist=None):
+    betas = cfg.block_x_indices(delta, n)
+    out = {xgen(b): Fraction(a) for a, b in zip(cfg.coeff(delta, n), betas)}
+    if twist:
+        out[WGEN] = Fraction(twist)
+    return FractionElement(out)
+
+
 def _chain_element_oracle(cfg, delta, n, coloring=None):
-    """The closed form summed block by block, each weight a fresh product
-    psi(i)...psi(n-1)."""
-    out = FreeElement.single(ygen(delta, 0), Fraction(1, cfg.psi_product(0, n)))
+    """The closed form summed block by block in Fraction arithmetic, each
+    weight a fresh product psi(i)...psi(n-1)."""
+    out = FractionElement.single(ygen(delta, 0), Fraction(1, cfg.psi_product(0, n)))
     for i in range(n):
         twist = coloring.color(delta, i) if coloring is not None else None
-        blk = block_element(cfg, delta, i, twist)
+        blk = _block_oracle(cfg, delta, i, twist)
         out = out + blk.scale(Fraction(1, cfg.psi_product(i, n)))
     return out
 
 
 def _verify_hom_oracle(gmap, relations):
-    """Every relation's image built in Fraction arithmetic through
-    GeneratorMap.apply."""
+    """Every relation's image built in Fraction arithmetic through the
+    oracle's map application."""
+    omap = FractionMap({g: _as_oracle(img) for g, img in gmap.images.items()})
     failures = []
     for label, rel in relations:
-        image = gmap.apply(rel)
+        image = omap.apply(_as_oracle(rel))
         if not image.is_zero:
             failures.append((label, str(image)))
     return HomReport(not failures, tuple(failures))
 
 
 def _chain_relation_oracle(cfg, delta, n, coloring=None):
-    """psi(n) * y(delta, n+1) - y(delta, n) - block(n) in FreeElement
+    """psi(n) * y(delta, n+1) - y(delta, n) - block(n) in Fraction
     arithmetic."""
     twist = coloring.color(delta, n) if coloring is not None else None
-    hi = FreeElement.single(ygen(delta, n + 1), cfg.psi(n))
-    return hi - FreeElement.single(ygen(delta, n)) - block_element(cfg, delta, n, twist)
+    hi = FractionElement.single(ygen(delta, n + 1), cfg.psi(n))
+    return hi - FractionElement.single(ygen(delta, n)) - _block_oracle(cfg, delta, n, twist)
 
 
 def _stage_rewrite_oracle(cfg, depth, e, coloring=None):
@@ -410,7 +424,7 @@ def _stage_rewrite_oracle(cfg, depth, e, coloring=None):
                         bump(WGEN, -q * p_i * c)
                 p_i *= cfg.psi(i)
             bump(ygen(delta, depth), q * p_i)
-    return FreeElement(out)
+    return FractionElement(out)
 
 
 def _outcome(fn, *args):
@@ -454,7 +468,7 @@ def test_realize_matches_closed_form(stage_args):
     for g in sg.presentation_generators():
         if g.kind == "y":
             expect = chain_element(cfg, g.ordinal, g.index, coloring)
-            assert expect == _chain_element_oracle(cfg, g.ordinal, g.index, coloring)
+            assert _as_oracle(expect) == _chain_element_oracle(cfg, g.ordinal, g.index, coloring)
         else:
             expect = FreeElement.single(g)
         assert sg.realize(g) == expect, g
@@ -498,7 +512,7 @@ def test_verify_hom_matches_fraction_oracle(stage_args, data):
     cfg, alpha, depth, coloring = stage_args
     sg = build_stage(cfg, alpha, depth, coloring=coloring)
     relations = sg.formal_relations()
-    assert [rel for _, rel in relations] == [
+    assert [_as_oracle(rel) for _, rel in relations] == [
         _chain_relation_oracle(cfg, d, n, coloring) for d in sg.deltas for n in range(depth)]
     realization = sg.realization()
     assert verify_hom(realization, relations) == _verify_hom_oracle(realization, relations)
@@ -532,7 +546,7 @@ def test_stage_rewrite_matches_fraction_oracle(stage_args, data):
         e = e + FreeElement.single(ygen(d, 0), data.draw(nonzero_fractions))
     for rewrite_depth in range(depth + 1):
         expect = _stage_rewrite_oracle(cfg, rewrite_depth, e, coloring)
-        assert stage_rewrite(cfg, rewrite_depth, e, coloring) == expect
+        assert _as_oracle(stage_rewrite(cfg, rewrite_depth, e, coloring)) == expect
     # a formal chain symbol, or w outside a twisted stage, fails the same way
     chain_symbols = [ygen(d, n) for d in sg.deltas for n in range(1, depth + 1)]
     outside = chain_symbols + ([WGEN] if coloring is None else [])
@@ -567,12 +581,13 @@ def test_integer_kernels_match_fraction_oracles_on_a_twisted_table_psi_stage():
     sg = build_stage(cfg, alpha, 5, coloring=coloring)
     for g in sg.presentation_generators():
         if g.kind == "y":
-            assert sg.realize(g) == _chain_element_oracle(cfg, g.ordinal, g.index, coloring)
+            assert _as_oracle(sg.realize(g)) == _chain_element_oracle(
+                cfg, g.ordinal, g.index, coloring)
     mixed = FreeElement({ygen(W2, 0): Fraction(-3, 4), ygen(W2_2, 0): Fraction(5, 6),
                          xgen(sg.x_indices[2]): Fraction(1, 9), WGEN: Fraction(7, 2)})
     for depth in range(sg.depth + 1):
         for e in (FreeElement.single(ygen(W2, 0)), FreeElement.single(ygen(W2_2, 0)), mixed):
-            assert stage_rewrite(cfg, depth, e, coloring) == _stage_rewrite_oracle(
+            assert _as_oracle(stage_rewrite(cfg, depth, e, coloring)) == _stage_rewrite_oracle(
                 cfg, depth, e, coloring)
     relations = sg.formal_relations()
     images = dict(sg.realization().images)
