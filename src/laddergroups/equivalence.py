@@ -5,8 +5,8 @@ Two systems with the same omega-range yield stages that are isomorphic by a
 map respecting every filtration level.  The map fixes most x generators,
 sends each tail ladder value of the simple source to the matching block
 combination of the destination, swaps the destination block heads back, and
-matches the division chains; chain elements below the disjointification
-threshold are backfilled through the relations.
+matches the top chain elements.  Like the inverse, it is given on the stage
+basis and extended to the chain symbols by solving the stage relations.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .presentation import (
     generator_level,
     verify_hom,
     xgen,
-    ygen,
 )
 from .stages import StageGroup, build_stage
 
@@ -165,10 +164,12 @@ def level_iso_build(
     """The level-preserving stage isomorphism between a simple source and a
     range-matched destination.
 
-    Tail clauses (block image, head swap, fixpoints, chain match) follow the
-    disjointification thresholds; chains below a threshold are backfilled
-    downward through the relations.  Destination blocks must lead with
-    coefficient 1, which keeps the head swap unimodular.
+    Tail clauses (block image, head swap) follow the disjointification
+    thresholds, the other x generators are fixed, and chain(delta, N) goes
+    to its destination counterpart; the chain symbols below N follow from
+    the source relations, so from the threshold up they match the
+    destination chain.  Destination blocks must lead with coefficient 1,
+    which keeps the head swap unimodular.
     """
     if src.alpha != dst.alpha or src.depth != dst.depth:
         raise ScopeError("stages must share level and depth")
@@ -214,21 +215,10 @@ def level_iso_build(
             head = nu.head(n)
             if head != src_val:
                 put(xgen(head), FreeElement.single(xgen(src_val)))
-    for beta in src.x_indices:
-        key = xgen(beta)
-        if key not in images:
-            images[key] = FreeElement.single(key)
-    for dd in src.deltas:
-        eta = src.cfg.system.ladder(dd)
-        m = d.m(dd)
-        for n in range(m, depth + 1):
-            images[ygen(dd, n)] = dst.realize(ygen(dd, n))
-        for n in reversed(range(m)):
-            x_img = images[xgen(eta.entries[n])]
-            images[ygen(dd, n)] = (
-                images[ygen(dd, n + 1)].scale(src.cfg.psi(n)) - x_img
-            )
-    return GeneratorMap(images)
+    # the other x generators are fixed, and chain(delta, N) goes to its match
+    for key in src.stage_basis():
+        images.setdefault(key, dst.realize(key))
+    return src.hom_from_basis(images)
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,7 @@ def level_iso_verify(
     in_group = whole or all(
         dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
     )
-    src_keys, dst_keys, _, matrix = _basis_matrix(gmap, src, dst)
+    src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
     integral = all(q.denominator == 1 for row in matrix for q in row.values())
     if whole:
         in_group = integral
@@ -350,12 +340,10 @@ def _block_det(
 
 def _basis_matrix(
     gmap: GeneratorMap, src: StageGroup, dst: StageGroup
-) -> tuple[tuple[Generator, ...], tuple[Generator, ...], dict[Generator, int],
-           list[dict[int, Fraction]]]:
-    """The source and destination stage bases, the column index of each
-    destination key, and the sparse basis matrix: row i maps column indices
-    to the nonzero destination coordinates of the image of source basis
-    key i."""
+) -> tuple[tuple[Generator, ...], tuple[Generator, ...], list[dict[int, Fraction]]]:
+    """The source and destination stage bases and the sparse basis matrix:
+    row i maps column indices to the nonzero destination coordinates of the
+    image of source basis key i."""
     src_keys = src.stage_basis()
     dst_keys = dst.stage_basis()
     index = {k: i for i, k in enumerate(dst_keys)}
@@ -363,7 +351,7 @@ def _basis_matrix(
         {index[k]: q for k, q in dst.rewrite(gmap.apply(FreeElement.single(key))).items()}
         for key in src_keys
     ]
-    return src_keys, dst_keys, index, matrix
+    return src_keys, dst_keys, matrix
 
 
 def invert_level_iso(
@@ -373,29 +361,20 @@ def invert_level_iso(
     presentation.
 
     The basis matrix of gmap must be square and nonsingular; otherwise
-    ScopeError is raised.  Each destination generator is rewritten over the
-    destination basis, carried to source basis coordinates through the
-    sparse rows of the inverse, and realized in the source presentation.
+    ScopeError is raised.  Row j of its inverse gives the source basis
+    coordinates of destination basis key j, whose realization in the source
+    is that key's image; the destination chain symbols below N follow from
+    the destination relations.
     """
-    src_keys, _, index, matrix = _basis_matrix(gmap, src, dst)
-    n = len(index)
+    src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
+    n = len(dst_keys)
     det, _, reduced = gauss_jordan(
         [{**row, n + i: Fraction(1)} for i, row in enumerate(matrix)], n
     )
     if not det:
         raise ScopeError("basis matrix is singular or not square")
-    inv = [{j - n: v for j, v in row.items() if j >= n} for row in reduced]
-    realized = [dict(src.realize(key).items()) for key in src_keys]
-    images: dict[Generator, FreeElement] = {}
-    for g in dst.presentation_generators():
-        coords: dict[int, Fraction] = {}
-        for k, q in dst.rewrite(dst.realize(g)).items():
-            for j, v in inv[index[k]].items():
-                coords[j] = coords.get(j, 0) + q * v
-        out: dict[Generator, Fraction] = {}
-        for j, c in coords.items():
-            if c:
-                for h, v in realized[j].items():
-                    out[h] = out.get(h, 0) + c * v
-        images[g] = FreeElement(out)
-    return GeneratorMap(images)
+    realize = GeneratorMap({key: src.realize(key) for key in src_keys})
+    return dst.hom_from_basis({
+        key: realize.apply(FreeElement({src_keys[j - n]: v for j, v in row.items() if j >= n}))
+        for key, row in zip(dst_keys, reduced)
+    })

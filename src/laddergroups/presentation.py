@@ -442,15 +442,10 @@ class GroupConfig:
 # chain elements and relations
 
 
-def block_element(
-    cfg: GroupConfig, delta: Ordinal, n: int, twist: int | None = None
-) -> FreeElement:
-    """The block combination sum_l a_l * x[ladder(k_n + l)], plus twist * w
-    when a twist coefficient is supplied."""
+def block_element(cfg: GroupConfig, delta: Ordinal, n: int) -> FreeElement:
+    """The block combination sum_l a_l * x[ladder(k_n + l)]."""
     coeffs = cfg.coeff(delta, n)
     out = {xgen(b): a for a, b in zip(coeffs, cfg.block_x_indices(delta, n))}
-    if twist:
-        out[WGEN] = twist
     return FreeElement.from_numerators(1, out)
 
 
@@ -507,7 +502,8 @@ def relation_label(delta: Ordinal, n: int) -> str:
 
 
 def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement:
-    """Coordinates of e over the depth-N stage basis.
+    """Coordinates of e over the depth-N stage basis of the whole system
+    (StageGroup.rewrite also checks a stage's level and x universe).
 
     The basis is {chain(delta, N)} for delta in the system plus the x
     generators (plus w for twisted stages); basis coordinates are returned
@@ -558,8 +554,8 @@ class MembershipResult:
 
 
 def membership(cfg, depth: int, e: FreeElement, coloring=None) -> MembershipResult:
-    """Integer-span membership in the depth-N stage, with the least positive
-    multiple landing in it (the denominator of the coordinates)."""
+    """Integer-span membership in the system's depth-N stage (as in
+    stage_rewrite), with the least positive multiple landing in it."""
     coords = stage_rewrite(cfg, depth, e, coloring)
     mult = coords.integer_form()[0]
     return MembershipResult(mult == 1, mult, coords)
@@ -568,8 +564,8 @@ def membership(cfg, depth: int, e: FreeElement, coloring=None) -> MembershipResu
 def membership_at_level(
     cfg, depth: int, e: FreeElement, level: Ordinal, coloring=None
 ) -> bool:
-    """Membership in the filtration subgroup at the given level: integral
-    coordinates supported on basis keys admitted at that level."""
+    """Membership in the filtration subgroup at the given level of the
+    system's depth-N stage: integral coordinates on the keys it admits."""
     d, nums = stage_rewrite(cfg, depth, e, coloring).integer_form()
     return d == 1 and not any(
         g.kind != "w" and level < generator_level(g) for g in nums

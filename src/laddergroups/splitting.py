@@ -347,17 +347,18 @@ class ExtensionHom:
             ) from None
 
     def apply(self, e: FreeElement):
-        if e.integer_form()[0] != 1:
+        d, nums = e.integer_form()
+        if d != 1:
             raise ScopeError("extension applies to integer combinations only")
         out = self.target.zero
-        for g, q in e.items():
+        for g in e.support():
             if g.kind == "x":
                 val = self.on_x(g.ordinal)
             elif g.kind == "y":
                 val = self.on_z(g.ordinal, g.index)
             else:
                 raise ScopeError("twist generator outside the free presentation")
-            out = self.target.add(out, self.target.scale(int(q), val))
+            out = self.target.add(out, self.target.scale(nums[g], val))
         return out
 
 

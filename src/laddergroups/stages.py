@@ -93,11 +93,42 @@ class StageGroup:
         """Each presentation generator to its concrete element."""
         return GeneratorMap({g: self.realize(g) for g in self.presentation_generators()})
 
+    def hom_from_basis(self, images: dict[Generator, FreeElement]) -> GeneratorMap:
+        """The homomorphism out of the stage presentation with the given
+        images of the stage basis keys (a missing key raises MapDomainError,
+        other keys are not read).  The presentation is free on its basis:
+        each y(delta, n) with n < depth is solved from its relation,
+        psi(n) * y(delta, n+1) - block(n) (- its twist term), from
+        n = depth - 1 down."""
+        given = GeneratorMap(images)
+        gmap = GeneratorMap({k: given.image_of(k) for k in self.stage_basis()})
+        keys = [ygen(d, n) for d in self.deltas for n in range(self.depth)]
+        for key, (_, rel) in zip(reversed(keys), reversed(self.formal_relations())):
+            gmap.images[key] = gmap.apply(rel + FreeElement.single(key))
+        return gmap
+
     def rewrite(self, e: FreeElement) -> FreeElement:
+        """Coordinates of e over the stage basis.  The first generator of e
+        in basis order that is not in the stage raises ScopeError: an x
+        generator or seed not the stage's, a chain symbol, or w on an
+        untwisted stage."""
+        self._check_scope(e)
         return stage_rewrite(self.cfg, self.depth, e, self.coloring)
 
     def membership(self, e: FreeElement) -> MembershipResult:
+        self._check_scope(e)
         return membership(self.cfg, self.depth, e, self.coloring)
+
+    @cached_property
+    def _scope(self) -> frozenset[Generator]:
+        return frozenset(self.presentation_generators())
+
+    def _check_scope(self, e: FreeElement) -> None:
+        for g in e.support():
+            if g.kind == "w" or g.index:
+                return  # w comes last; stage_rewrite names a chain symbol
+            if g not in self._scope:
+                raise ScopeError(f"{g} outside the stage")
 
 
 def build_stage(
@@ -166,12 +197,13 @@ class ProjectionReport:
 def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionReport]:
     """Projection of the stage onto its filtration subgroup at level nu.
 
-    x generators at or above nu + omega are killed, everything under the
-    level is fixed, and for each delta above nu the chain is zeroed from the
-    first block whose head reaches nu + omega, the earlier chain elements
-    being backfilled through the relations.  That cut is the one forced by
-    the relations: a block below the cut sits entirely inside the level
-    subgroup, so its block element must survive the projection intact.
+    On the stage basis, x generators at or above nu + omega are killed,
+    those below are fixed, and chain(delta, N) is fixed for delta below nu
+    and killed above it; the chain symbols below N follow from the
+    relations.  For each delta above nu the chain then vanishes from the
+    first block whose head reaches nu + omega, the cut reported: a block
+    below the cut sits entirely inside the level subgroup, so its block
+    element must survive the projection intact.
     """
     if sg.coloring is not None:
         raise ScopeError("projections are defined on untwisted stages")
@@ -181,31 +213,20 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
         raise ScopeError(f"nu {nu} above stage level {sg.alpha}")
     cfg = sg.cfg
     bound = plus_omega(nu)
-    images: dict[Generator, FreeElement] = {}
-    gmap = GeneratorMap(images)
-    for beta in sg.x_indices:
-        g = xgen(beta)
-        images[g] = FreeElement.single(g) if beta < bound else FreeElement()
+    images = {xgen(b): FreeElement.single(xgen(b)) if b < bound else FreeElement()
+              for b in sg.x_indices}
+    for d in sg.deltas:
+        key = ygen(d, sg.depth)
+        images[key] = sg.realize(key) if d < nu else FreeElement()
+    gmap = sg.hom_from_basis(images)
     cuts = []
     notes = []
     for d in sg.deltas:
-        if d < nu:
-            for n in range(sg.depth + 1):
-                images[ygen(d, n)] = sg.realize(ygen(d, n))
-            continue
-        sl = cfg.system.ladder(d)
-        cut = sg.depth
-        for n in range(sg.depth):
-            if not sl.head(n) < bound:
-                cut = n
-                break
-        cuts.append((format_ordinal(d), cut))
-        for n in range(cut, sg.depth + 1):
-            images[ygen(d, n)] = FreeElement()
-        for n in reversed(range(cut)):
-            blk_img = gmap.apply(block_element(cfg, d, n))
-            images[ygen(d, n)] = images[ygen(d, n + 1)].scale(cfg.psi(n)) - blk_img
-        notes.extend(_closed_form_notes(cfg, d, cut, gmap))
+        if nu < d:
+            sl = cfg.system.ladder(d)
+            cut = next((n for n in range(sg.depth) if not sl.head(n) < bound), sg.depth)
+            cuts.append((format_ordinal(d), cut))
+            notes.extend(_closed_form_notes(cfg, d, cut, gmap))
 
     relations = sg.formal_relations()
     hom = verify_hom(gmap, relations)
@@ -290,9 +311,8 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     integrally over the basis.
     """
     cfg = sg.cfg
-    scope = set(sg.presentation_generators())
     for g in T:
-        if g not in scope:
+        if g not in sg._scope:
             raise ScopeError(f"{g} outside stage scope")
     touched = sorted({g.ordinal for g in T if g.kind == "y"}, key=lambda o: o.terms)
     if not touched:
@@ -325,8 +345,9 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     for g in sorted(closure, key=Generator.sort_key):
         concrete = sg.realize(g)
         coords = stage_rewrite(cfg, mstar, concrete)
-        for key, q in coords.items():
-            if q.denominator != 1:
+        den, nums = coords.integer_form()
+        for key in coords.support():
+            if nums[key] % den:
                 problems.append(f"{g} has fractional coordinate over the basis")
                 break
             if key not in basis:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from laddergroups import equivalence
 from laddergroups.equivalence import (
+    Disjointification,
     LevelIsoReport,
     build_matched_stages,
     disjointify,
@@ -310,6 +311,37 @@ def seeded_iso(seed, depth):
         GroupConfig.all_ones(src_sys), companion_config(dst_sys, rng), ALPHA, depth
     )
     return level_iso_build(src, dst, disjointify(src_sys)), src, dst
+
+
+def level_iso_chain_oracle(gmap, src, dst, d):
+    """The chain images as built before maps were given on the stage basis:
+    matched from the threshold up, backfilled through the source relations
+    below it, from gmap's x images."""
+    images = {g: img for g, img in gmap.images.items() if g.kind == "x"}
+    depth = src.depth
+    for dd in src.deltas:
+        eta = src.cfg.system.ladder(dd)
+        m = d.m(dd)
+        for n in range(m, depth + 1):
+            images[ygen(dd, n)] = dst.realize(ygen(dd, n))
+        for n in reversed(range(m)):
+            x_img = images[xgen(eta.entries[n])]
+            images[ygen(dd, n)] = (
+                images[ygen(dd, n + 1)].scale(src.cfg.psi(n)) - x_img
+            )
+    return images
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(3, 5), st.data())
+def test_level_iso_build_matches_the_backfill_oracle(seed, depth, data):
+    _, src, dst = seeded_iso(seed, depth)
+    thresholds = {dd: data.draw(st.integers(0, depth)) for dd in src.deltas}
+    d = Disjointification(thresholds, True, ())
+    gmap = level_iso_build(src, dst, d)
+    assert set(gmap.images) == set(src.presentation_generators())
+    assert gmap.images == level_iso_chain_oracle(gmap, src, dst, d)
+    assert level_iso_verify(gmap, src, dst).ok
 
 
 @settings(max_examples=25, deadline=None)

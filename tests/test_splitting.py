@@ -4,6 +4,7 @@ import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -13,7 +14,9 @@ from laddergroups import splitting
 from laddergroups.equivalence import disjointify
 from laddergroups.ladders import LadderSystem, make_block_special, prefix_special
 from laddergroups.ordinals import format_ordinal, omega_power, parse_ordinal
-from laddergroups.presentation import ConfigError, GroupConfig, TablePsi, WGEN
+from laddergroups.presentation import (
+    ConfigError, FreeElement, GroupConfig, ScopeError, TablePsi, WGEN, xgen, ygen,
+)
 from laddergroups.splitting import (
     Coloring,
     ExtensionError,
@@ -401,6 +404,19 @@ def test_roundtrip_disjoint_system():
         sl = sys.ladder(d)
         for k in range(data.thresholds[d], 12):
             assert data.psi[sl.entries[k]] == c.color(d, k)
+
+
+def test_extension_apply_reads_numerators_in_basis_order():
+    x1, x2 = parse_ordinal("w*1+1"), parse_ordinal("w*1+2")
+    hom = ExtensionHom(IntegerTarget(), {x1: 3}, {(W2, 0): 5})
+    assert hom.apply(FreeElement({xgen(x1): 2, xgen(x2): -4, ygen(W2, 0): -1})) == 1
+    # two chain symbols without a value: the first in basis order is named
+    with pytest.raises(ScopeError, match=r"chain symbol \(w\^2\*1,2\)"):
+        hom.apply(FreeElement({WGEN: 1, ygen(W2_2, 1): 1, ygen(W2, 2): 1}))
+    with pytest.raises(ScopeError, match="twist generator"):
+        hom.apply(FreeElement({WGEN: 1, ygen(W2, 0): 1}))
+    with pytest.raises(ScopeError, match="integer combinations only"):
+        hom.apply(FreeElement({xgen(x1): 1, ygen(W2, 2): Fraction(1, 2)}))
 
 
 def crafted_extension(sg, cfg, c, target):

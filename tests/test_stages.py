@@ -11,11 +11,12 @@ from laddergroups.ladders import (
     make_block_special,
     make_simple_special,
 )
-from laddergroups.ordinals import ZERO, nat, omega_power, parse_ordinal
+from laddergroups.ordinals import ZERO, format_ordinal, nat, omega_power, parse_ordinal, plus_omega
 from laddergroups.presentation import (
     ConfigError,
     FactorialPsi,
     FreeElement,
+    Generator,
     GeneratorMap,
     GroupConfig,
     HomReport,
@@ -23,6 +24,7 @@ from laddergroups.presentation import (
     ScopeError,
     TablePsi,
     WGEN,
+    block_element,
     chain_element,
     chain_relation,
     generator_level,
@@ -602,3 +604,125 @@ def test_integer_kernels_match_fraction_oracles_on_a_twisted_table_psi_stage():
     outcome = _outcome(verify_hom, missing, relations)
     assert outcome == _outcome(_verify_hom_oracle, missing, relations)
     assert outcome == (MapDomainError, repr("generator y[w^2*2,0] outside map domain"))
+
+
+# ---------------------------------------------------------------------------
+# maps given on the stage basis, and the scope of a stage
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_stages())
+def test_hom_from_basis_on_the_realized_basis_is_the_realization(stage_args):
+    cfg, alpha, depth, coloring = stage_args
+    sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    gmap = sg.hom_from_basis({k: sg.realize(k) for k in sg.stage_basis()})
+    assert gmap.images == sg.realization().images
+
+
+def test_hom_from_basis_names_a_missing_basis_key():
+    sg = two_delta_stage(depth=3)
+    images = {k: sg.realize(k) for k in sg.stage_basis() if k != ygen(W2_2, 3)}
+    with pytest.raises(MapDomainError, match=r"y\[w\^2\*2,3\]"):
+        sg.hom_from_basis(images)
+
+
+def _projection_oracle(sg, nu):
+    """The projection's images as built before maps were given on the stage
+    basis: each chain zeroed from its cut and backfilled below it."""
+    cfg = sg.cfg
+    bound = plus_omega(nu)
+    images: dict[Generator, FreeElement] = {}
+    gmap = GeneratorMap(images)
+    for beta in sg.x_indices:
+        g = xgen(beta)
+        images[g] = FreeElement.single(g) if beta < bound else FreeElement()
+    cuts = []
+    for d in sg.deltas:
+        if d < nu:
+            for n in range(sg.depth + 1):
+                images[ygen(d, n)] = sg.realize(ygen(d, n))
+            continue
+        sl = cfg.system.ladder(d)
+        cut = sg.depth
+        for n in range(sg.depth):
+            if not sl.head(n) < bound:
+                cut = n
+                break
+        cuts.append((format_ordinal(d), cut))
+        for n in range(cut, sg.depth + 1):
+            images[ygen(d, n)] = FreeElement()
+        for n in reversed(range(cut)):
+            blk_img = gmap.apply(block_element(cfg, d, n))
+            images[ygen(d, n)] = images[ygen(d, n + 1)].scale(cfg.psi(n)) - blk_img
+    return gmap, tuple(cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_stages(), st.data())
+def test_projection_matches_the_backfill_oracle(stage_args, data):
+    cfg, alpha, depth, _ = stage_args
+    sg = build_stage(cfg, alpha, depth)
+    levels = {ZERO, alpha}
+    for beta in sg.x_indices:
+        levels.update((beta, beta.limit_part, beta + nat(1)))
+    levels = sorted((nu for nu in levels if nu not in cfg.system.deltas),
+                    key=lambda o: o.terms)
+    for nu in data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=4)):
+        gmap, rep = projection(sg, nu)
+        expect, cuts = _projection_oracle(sg, nu)
+        assert gmap.images == expect.images, format_ordinal(nu)
+        assert rep.cuts == cuts
+        assert rep.ok
+
+
+def _scope_stage():
+    """A stage at level w^2+1 of a system that also has a ladder on w^2*2."""
+    sys = LadderSystem.build(
+        parse_ordinal("w^2*2+1"),
+        {W2: make_simple_special(W2, 10), W2_2: make_simple_special(W2_2, 10)},
+    )
+    return build_stage(GroupConfig.all_ones(sys), parse_ordinal("w^2+1"), 4)
+
+
+def test_stage_rewrite_and_membership_reject_generators_outside_the_stage():
+    sg = _scope_stage()
+    far_x = xgen(parse_ordinal("w*50+1"))
+    far_seed = ygen(W2_2, 0)
+    for e, named in (
+        (FreeElement.single(far_seed), far_seed),
+        (FreeElement.single(far_x), far_x),
+        (FreeElement({far_seed: 1, far_x: 1, ygen(W2, 0): 1}), far_x),
+        (FreeElement({far_seed: Fraction(1, 2), WGEN: 1}), far_seed),
+    ):
+        for method in (sg.rewrite, sg.membership):
+            with pytest.raises(ScopeError) as err:
+                method(e)
+            assert str(err.value) == f"{named} outside the stage"
+    with pytest.raises(ScopeError, match="outside the stage"):
+        sg.realize(ygen(W2_2, 1))
+    # the stage's own generators rewrite as before
+    inside = FreeElement({ygen(W2, 0): 1, xgen(sg.x_indices[-1]): 2})
+    assert sg.rewrite(inside) == stage_rewrite(sg.cfg, 4, inside)
+    assert sg.membership(inside).in_group
+
+
+def test_stage_scope_keeps_the_chain_symbol_and_twist_errors_in_basis_order():
+    sg = _scope_stage()
+    far_seed = ygen(W2_2, 0)
+    for e, message in (
+        (FreeElement({far_seed: 1, ygen(W2, 2): 1}),
+         "y[w^2*1,2] is a formal chain symbol, not an element of the group span"),
+        (FreeElement({far_seed: 1, ygen(W2_2, 1): 1}), "y[w^2*2,0] outside the stage"),
+        (FreeElement({ygen(W2, 0): 1, WGEN: 1}), "twist generator outside a twisted stage"),
+    ):
+        for method in (sg.rewrite, sg.membership):
+            with pytest.raises(ScopeError) as err:
+                method(e)
+            assert str(err.value) == message
+
+
+def test_free_rewrite_and_membership_cover_the_whole_system():
+    sg = _scope_stage()
+    for g in (ygen(W2_2, 0), xgen(parse_ordinal("w*50+1"))):
+        assert membership(sg.cfg, sg.depth, FreeElement.single(g)).in_group
+        assert not stage_rewrite(sg.cfg, sg.depth, FreeElement.single(g)).is_zero
