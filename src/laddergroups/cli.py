@@ -34,7 +34,6 @@ from .ladders import (
     make_block_special,
     make_simple_special,
     prefix_special,
-    validate_special,
 )
 from .ordinals import Ordinal, OrdinalParseError, format_ordinal, parse_ordinal
 from .presentation import FactorialPsi, GroupConfig, TablePsi
@@ -319,7 +318,7 @@ def _stage(ctx, chk, where, system: LadderSystem) -> tuple[int, Ordinal]:
 def _check_validate(ctx, chk, where):
     system = _get(chk, "system", where, ctx["system"])
     yield
-    reports = {format_ordinal(delta): validate_special(sl) for delta, sl in system.items()}
+    reports = {format_ordinal(delta): sl.report for delta, sl in system.items()}
     tree = is_tree_like(system)
     return {
         "ok": all(rep.ok for rep in reports.values()),

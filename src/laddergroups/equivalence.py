@@ -246,13 +246,21 @@ def level_iso_verify(
     y(delta, n) with n < N to psi(n) times the image of y(delta, n+1) minus
     the image of block(n), an integer combination of basis-key images, so
     its images lie in the destination exactly when the basis matrix is
-    integral.  Other maps are checked image by image."""
+    integral.  Other maps are checked image by image.
+
+    An image that leaves the destination stage leaves no basis matrix: the
+    report then has images_in_group and inverse_integral false, determinant
+    "0", no level checks and an empty matrix, and ok false."""
     hom = verify_hom(gmap, src.formal_relations())
     whole = hom.ok and set(gmap.images) == set(src.presentation_generators())
-    in_group = whole or all(
-        dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
-    )
-    src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
+    try:
+        in_group = whole or all(
+            dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
+        )
+        src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
+    except ScopeError:
+        bases = (tuple(map(str, sg.stage_basis())) for sg in (src, dst))
+        return LevelIsoReport(hom.ok, False, "0", False, (), *bases, (), False)
     integral = all(q.denominator == 1 for row in matrix for q in row.values())
     if whole:
         in_group = integral

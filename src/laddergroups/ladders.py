@@ -16,6 +16,7 @@ classic k_n = n and k_n = 2n examples on w^2 * m as well as deltas like w^3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .ordinals import Ordinal, format_ordinal, omega_power, plus_omega
@@ -131,6 +132,18 @@ class SpecialLadder:
                 return n
         raise AssertionError("unreachable")
 
+    @cached_property
+    def report(self) -> "LadderReport":
+        """validate_special(self), run once per ladder object."""
+        return validate_special(self)
+
+    @cached_property
+    def _omega_range(self) -> "OmegaRange":
+        if not self.report.ok:
+            raise LadderInvalidError("; ".join(self.report.errors))
+        blocks = tuple(plus_omega(self.head(n)) for n in range(self.block_count))
+        return OmegaRange(self.delta, blocks)
+
 
 @dataclass(frozen=True)
 class LadderReport:
@@ -211,11 +224,9 @@ class OmegaRange:
 
 
 def omega_range(sl: SpecialLadder) -> OmegaRange:
-    report = validate_special(sl)
-    if not report.ok:
-        raise LadderInvalidError("; ".join(report.errors))
-    blocks = tuple(plus_omega(sl.head(n)) for n in range(sl.block_count))
-    return OmegaRange(sl.delta, blocks)
+    """The ladder's omega-range, computed once per ladder object; an
+    invalid ladder raises LadderInvalidError."""
+    return sl._omega_range
 
 
 def _rule_for(delta: Ordinal, offsets: tuple[tuple[int, ...], ...]) -> BlockRule:
@@ -273,9 +284,8 @@ def companion_same_range(
     of the omega-interval carrying eta's block n, so the two ranges agree
     exactly.  Breakpoints are the partial sums starting at k_0 = 0.
     """
-    report = validate_special(eta)
-    if not report.ok:
-        raise LadderInvalidError("; ".join(report.errors))
+    if not eta.report.ok:
+        raise LadderInvalidError("; ".join(eta.report.errors))
     if len(block_sizes) != eta.block_count:
         raise LadderShapeError(
             f"need one block size per explored block ({eta.block_count})"
@@ -339,8 +349,7 @@ class LadderSystem:
                 problems.append(f"{tag}: not below alpha {alpha}")
             if sl.delta != delta:
                 problems.append(f"{tag}: ladder is on {sl.delta}")
-            report = validate_special(sl)
-            problems.extend(f"{tag}: {msg}" for msg in report.errors)
+            problems.extend(f"{tag}: {msg}" for msg in sl.report.errors)
         if problems:
             raise LadderSystemError("; ".join(problems))
         ordered = tuple(sorted(ladders.items(), key=lambda kv: kv[0].terms))

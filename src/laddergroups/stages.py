@@ -24,8 +24,8 @@ from .presentation import (
     ScopeError,
     WGEN,
     block_element,
-    chain_element,
     chain_relation,
+    chain_table,
     gauss_jordan,
     generator_level,
     membership,
@@ -140,7 +140,8 @@ def build_stage(
 ) -> StageGroup:
     """Assemble and verify a stage: every ladder must be explored through
     `depth` blocks, and the realization through the closed-form chain
-    elements must kill every relation before the stage is accepted."""
+    elements, one chain_table walk per ladder, must kill every relation
+    before the stage is accepted."""
     if depth < 0:
         raise ConfigError(f"stage depth must be non-negative, got {depth}")
     deltas = cfg.system.deltas_below(alpha)
@@ -155,8 +156,8 @@ def build_stage(
         if coloring is not None and coloring.depth(d) < depth:
             raise ConfigError(f"coloring on {format_ordinal(d)} shallower than stage depth")
         xs.update(sl.entries[: sl.k(depth)])
-    chains = {ygen(d, n): chain_element(cfg, d, n, coloring)
-              for d in deltas for n in range(depth + 1)}
+    chains = {ygen(d, n): e for d in deltas
+              for n, e in enumerate(chain_table(cfg, d, depth, coloring))}
     stage = StageGroup(cfg, alpha, depth, coloring,
                        tuple(sorted(xs, key=lambda o: o.terms)), chains)
     hom = verify_hom(stage.realization(), stage.formal_relations())

@@ -176,6 +176,25 @@ def test_depth_exhaustion_hint(tmp_path):
     assert "increase depth" in report["checks"][0]["error"]
 
 
+def test_short_psi_table_names_the_lowest_missing_entry(tmp_path):
+    scenario = {
+        "systems": {
+            "s": {
+                "alpha": "w^2+1",
+                "ladders": [{"delta": "w^2", "family": "simple", "blocks": 6}],
+            }
+        },
+        "groups": {"g": {"system": "s", "coeffs": "ones", "psi": [1, 2]}},
+        "checks": [{"check": "build", "group": "g", "depth": 5}],
+    }
+    path = tmp_path / "short-psi.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["build", str(path), "--format", "json", "--out", str(out)]) == 1
+    (chk,) = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert chk["error"] == "psi table has no entry for n = 2"
+
+
 def test_obstruct_deeper_than_its_ladders_names_the_ladder(tmp_path):
     path = _obstruct_scenario(tmp_path, depth=12)
     report = run_scenario(str(path), dict(OPTIONS))

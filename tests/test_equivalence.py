@@ -570,6 +570,32 @@ def test_level_checks_eliminate_only_the_new_diagonal_blocks(monkeypatch, seed):
     assert all(n <= widest for n in sizes if n != len(rep.dst_basis))
 
 
+@pytest.mark.parametrize("relation_free", [False, True])
+def test_verify_reports_an_image_outside_the_destination(relation_free):
+    gmap, src, dst = seeded_iso(3, 4)
+    related = {g for _, rel in src.formal_relations() for g in rel.support()}
+    x_keys = [k for k in src.stage_basis() if k.kind == "x"]
+    # the first x generator lies in a source relation; the first that lies in
+    # none keeps the map a homomorphism on the whole presentation
+    key = next(k for k in x_keys if (k not in related) == relation_free)
+    images = dict(gmap.images)
+    images[key] = FreeElement.single(xgen(parse_ordinal("w^2*2+w*90+1")))
+    rep = level_iso_verify(GeneratorMap(images), src, dst)
+    assert rep == LevelIsoReport(
+        relations_ok=relation_free,
+        images_in_group=False,
+        determinant="0",
+        inverse_integral=False,
+        level_checks=(),
+        src_basis=tuple(map(str, src.stage_basis())),
+        dst_basis=tuple(map(str, dst.stage_basis())),
+        matrix=(),
+        ok=False,
+    )
+    if not relation_free:
+        assert key == x_keys[0]
+
+
 def test_level_above_the_destination_raises_like_filtration_subgroup():
     cfg = GroupConfig.all_ones(simple_system())
     src = build_stage(cfg, W2_2, 4)

@@ -1,6 +1,8 @@
 import pytest
 
+from laddergroups import ladders
 from laddergroups.ladders import (
+    LadderInvalidError,
     LadderShapeError,
     LadderSystem,
     LadderSystemError,
@@ -198,3 +200,35 @@ def test_omega_range_strictly_increasing_and_bounded():
 def test_validate_reports_missing_or_negative_breakpoints(breakpoints):
     rep = validate_special(prefix_special(W2, (parse_ordinal("w*1+1"),), breakpoints))
     assert not rep.ok and rep.errors
+
+
+def test_each_ladder_object_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting(sl):
+        calls.append(sl)
+        return validate_special(sl)
+
+    monkeypatch.setattr(ladders, "validate_special", counting)
+    eta, nu = make_simple_special(W2, 4), make_block_special(W2_2, 4)
+    sys = LadderSystem.build(parse_ordinal("w^2*2+1"), {W2: eta, W2_2: nu})
+    assert omega_range(eta) is omega_range(eta)
+    companion_same_range(eta, (2, 1, 1, 2))
+    companion_same_range(eta, (1, 1, 1, 1))
+    LadderSystem.build(sys.alpha, dict(sys.items()))
+    assert omega_range(nu).blocks == tuple(plus_omega(nu.head(n)) for n in range(4))
+    assert calls == [eta, nu]
+    assert eta.report is eta.report and eta.report == validate_special(eta)
+    # an equal ladder is another object, validated on its own
+    make_simple_special(W2, 4).report
+    assert len(calls) == 3
+
+
+def test_invalid_ladder_keeps_raising_from_its_cached_report():
+    bad = prefix_special(W2, (parse_ordinal("w*2+1"), parse_ordinal("w*1+1")))
+    assert not bad.report.ok
+    for _ in range(2):
+        with pytest.raises(LadderInvalidError, match="not strictly increasing"):
+            omega_range(bad)
+        with pytest.raises(LadderInvalidError, match="not strictly increasing"):
+            companion_same_range(bad, (1, 1))

@@ -27,6 +27,7 @@ from laddergroups.presentation import (
     block_element,
     chain_element,
     chain_relation,
+    chain_table,
     generator_level,
     membership,
     relation_label,
@@ -467,6 +468,9 @@ def random_stages(draw):
 def test_realize_matches_closed_form(stage_args):
     cfg, alpha, depth, coloring = stage_args
     sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    # the stage's table is the walked one, entry for entry
+    assert sg.chains == {ygen(d, n): e for d in sg.deltas
+                         for n, e in enumerate(chain_table(cfg, d, depth, coloring))}
     for g in sg.presentation_generators():
         if g.kind == "y":
             expect = chain_element(cfg, g.ordinal, g.index, coloring)
@@ -493,15 +497,35 @@ def test_realize_rejects_chain_keys_outside_the_stage():
 
 
 def test_relation_check_sees_a_perturbed_chain_element(monkeypatch):
-    exact = stages.chain_element
+    exact = stages.chain_table
 
-    def perturbed(cfg, delta, n, coloring=None):
-        e = exact(cfg, delta, n, coloring)
-        return e + FreeElement.single(xgen(nat(1))) if (delta, n) == (W2_2, 3) else e
+    def perturbed(cfg, delta, depth, coloring=None):
+        table = exact(cfg, delta, depth, coloring)
+        if delta == W2_2:
+            table[3] = table[3] + FreeElement.single(xgen(nat(1)))
+        return table
 
-    monkeypatch.setattr(stages, "chain_element", perturbed)
+    monkeypatch.setattr(stages, "chain_table", perturbed)
     with pytest.raises(ConfigError, match=r"relation g\[w\^2\*2,2\] does not close"):
         two_delta_stage(depth=5)
+
+
+def _short_psi_config():
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 6)})
+    return GroupConfig.all_ones(sys, TablePsi((1, 2))), alpha
+
+
+def test_chain_table_names_the_lowest_missing_psi_entry():
+    cfg, alpha = _short_psi_config()
+    with pytest.raises(ConfigError, match="psi table has no entry for n = 2$"):
+        chain_table(cfg, W2, 5)
+    with pytest.raises(ConfigError, match="psi table has no entry for n = 2$"):
+        build_stage(cfg, alpha, 5)
+    # chain_element reads its blocks from n down and names the highest
+    with pytest.raises(ConfigError, match="psi table has no entry for n = 4$"):
+        chain_element(cfg, W2, 5)
+    assert chain_table(cfg, W2, 2) == [chain_element(cfg, W2, n) for n in range(3)]
 
 
 nonzero_fractions = st.builds(
