@@ -34,7 +34,7 @@ from .presentation import (
     verify_hom,
     xgen,
 )
-from .stages import StageGroup, build_stage
+from .stages import StageGroup, basis_matrix, build_stage
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,18 @@ class Disjointification:
         return self.thresholds[delta]
 
 
+def _tail(sl, m: int) -> list[tuple[int, Ordinal]]:
+    """(n, value) for each ladder value of the blocks n >= m."""
+    return [(n, v) for n in range(m, sl.block_count) for v in sl.block_values(n)]
+
+
 def _tails_disjoint(sys: LadderSystem, thresholds: dict[Ordinal, int]) -> bool:
     blocks: list[set] = []
     expanded: list[set] = []
     for d, sl in sys.items():
         m = thresholds[d]
-        rng = omega_range(sl)
-        blocks.append({v.terms for v in rng.blocks[m:]})
-        expanded.append(
-            {v.terms for n in range(m, sl.block_count) for v in sl.block_values(n)}
-        )
+        blocks.append({v.terms for v in omega_range(sl).blocks[m:]})
+        expanded.append({v.terms for _, v in _tail(sl, m)})
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             if blocks[i] & blocks[j] or expanded[i] & expanded[j]:
@@ -115,25 +117,19 @@ def overlap_check(
         raise LadderInvalidError("omega-ranges of the two systems differ")
     count = 0
     violations = []
-    tails_b = {}
-    for d2, l2 in sys_b.items():
-        vals = {}
-        for m in range(d.m(d2), l2.block_count):
-            for v in l2.block_values(m):
-                vals[v.terms] = m
-        tails_b[d2] = vals
+    tails_b = {d2: {v.terms: m for m, v in _tail(l2, d.m(d2))} for d2, l2 in sys_b.items()}
     for d1, l1 in sys_a.items():
+        tail = _tail(l1, d.m(d1))
         for d2, vals2 in tails_b.items():
-            for n in range(d.m(d1), l1.block_count):
-                for v in l1.block_values(n):
-                    if v.terms in vals2:
-                        count += 1
-                        m = vals2[v.terms]
-                        if d1 != d2 or m != n:
-                            violations.append(
-                                f"value {v} shared by ({format_ordinal(d1)},{n}) "
-                                f"and ({format_ordinal(d2)},{m})"
-                            )
+            for n, v in tail:
+                if v.terms in vals2:
+                    count += 1
+                    m = vals2[v.terms]
+                    if d1 != d2 or m != n:
+                        violations.append(
+                            f"value {v} shared by ({format_ordinal(d1)},{n}) "
+                            f"and ({format_ordinal(d2)},{m})"
+                        )
     return OverlapReport(count, tuple(violations))
 
 
@@ -254,16 +250,14 @@ def level_iso_verify(
     hom = verify_hom(gmap, src.formal_relations())
     whole = hom.ok and set(gmap.images) == set(src.presentation_generators())
     try:
-        in_group = whole or all(
+        src_keys, dst_keys, matrix = basis_matrix(gmap, src, dst)
+        integral = all(q.denominator == 1 for row in matrix for q in row.values())
+        in_group = integral if whole else all(
             dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
         )
-        src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
     except ScopeError:
         bases = (tuple(map(str, sg.stage_basis())) for sg in (src, dst))
         return LevelIsoReport(hom.ok, False, "0", False, (), *bases, (), False)
-    integral = all(q.denominator == 1 for row in matrix for q in row.values())
-    if whole:
-        in_group = integral
     det = gauss_jordan(matrix, len(dst_keys))[0]
     inverse_ok = integral and abs(det) == 1
     level_checks = _level_checks(src, dst, src_keys, dst_keys, matrix)
@@ -346,22 +340,6 @@ def _block_det(
     return gauss_jordan(sub, len(cols))[0]
 
 
-def _basis_matrix(
-    gmap: GeneratorMap, src: StageGroup, dst: StageGroup
-) -> tuple[tuple[Generator, ...], tuple[Generator, ...], list[dict[int, Fraction]]]:
-    """The source and destination stage bases and the sparse basis matrix:
-    row i maps column indices to the nonzero destination coordinates of the
-    image of source basis key i."""
-    src_keys = src.stage_basis()
-    dst_keys = dst.stage_basis()
-    index = {k: i for i, k in enumerate(dst_keys)}
-    matrix = [
-        {index[k]: q for k, q in dst.rewrite(gmap.apply(FreeElement.single(key))).items()}
-        for key in src_keys
-    ]
-    return src_keys, dst_keys, matrix
-
-
 def invert_level_iso(
     gmap: GeneratorMap, src: StageGroup, dst: StageGroup
 ) -> GeneratorMap:
@@ -374,7 +352,7 @@ def invert_level_iso(
     is that key's image; the destination chain symbols below N follow from
     the destination relations.
     """
-    src_keys, dst_keys, matrix = _basis_matrix(gmap, src, dst)
+    src_keys, dst_keys, matrix = basis_matrix(gmap, src, dst)
     n = len(dst_keys)
     det, _, reduced = gauss_jordan(
         [{**row, n + i: Fraction(1)} for i, row in enumerate(matrix)], n

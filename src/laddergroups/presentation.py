@@ -454,42 +454,32 @@ def chain_element(cfg, delta: Ordinal, n: int, coloring=None) -> FreeElement:
     module: seed / P(0, n) + sum_{i<n} block(i) / P(i, n), where P(i, n) is
     the product of psi(j) for i <= j < n.  With a coloring the blocks carry
     their twist term, realizing the twisted chain."""
-    *_, (p, nums) = _chain_walk(cfg, delta, n, coloring, upward=False)
+    *_, (p, nums) = _chain_walk(cfg, delta, n, coloring)
     return FreeElement.from_numerators(p, nums)
 
 
 def chain_table(cfg, delta: Ordinal, depth: int, coloring=None) -> list[FreeElement]:
-    """[chain(delta, n) for n = 0..depth], from one upward walk over the
-    blocks."""
+    """[chain(delta, n) for n = 0..depth], from one walk up the blocks."""
     return [FreeElement.from_numerators(p, nums)
-            for p, nums in _chain_walk(cfg, delta, depth, coloring, upward=True)]
+            for p, nums in _chain_walk(cfg, delta, depth, coloring)]
 
 
-def _chain_walk(cfg, delta: Ordinal, n: int, coloring, upward: bool):
+def _chain_walk(cfg, delta: Ordinal, n: int, coloring):
     """Yield (P(0, i), nums) for i = 0..n, nums holding the integer
     numerators of P(0, i) * chain(delta, i): the prefix sum seed + sum_{j<i}
     P(0, j) * block(j), plus P(0, j) * c(j) * w on a twisted stage.  nums is
-    one running row, updated in place at the next step.  The blocks are read
-    as the walk reaches them (upward), so a config missing entries names the
-    lowest, or all first from n down, so it names the highest."""
+    one running row, updated in place at the next step.  Each block is read
+    as the walk reaches it, so a config missing entries names the lowest."""
     sl = cfg.system.ladder(delta)
     if n > sl.block_count:
         raise ScopeError(f"chain index {n} beyond explored blocks of {delta}")
-
-    def block(i):
-        psi = cfg.psi(i)
-        twist = coloring.color(delta, i) if coloring is not None else None
-        return psi, twist, cfg.coeff(delta, i), sl.block_values(i)
-
-    if upward:
-        blocks = map(block, range(n))
-    else:
-        blocks = reversed([block(i) for i in reversed(range(n))])
     nums: dict[Generator, int] = {ygen(delta, 0): 1}
     p = 1  # P(0, i)
     yield p, nums
-    for psi, twist, coeffs, betas in blocks:
-        for a, beta in zip(coeffs, betas):
+    for i in range(n):
+        psi = cfg.psi(i)
+        twist = coloring.color(delta, i) if coloring is not None else None
+        for a, beta in zip(cfg.coeff(delta, i), sl.block_values(i)):
             g = xgen(beta)
             nums[g] = nums.get(g, 0) + p * a
         if twist:
@@ -552,7 +542,7 @@ def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement
         delta = g.ordinal
         if delta not in cfg.system.deltas:
             raise ScopeError(f"{g} indexed outside the ladder system")
-        *_, (p, row) = _chain_walk(cfg, delta, depth, coloring, upward=False)
+        *_, (p, row) = _chain_walk(cfg, delta, depth, coloring)
         # row is P(0, N) * chain(delta, N) with seed term 1: subtract all of
         # it but the seed, and add P(0, N) * y(delta, N)
         for h, c in row.items():

@@ -31,9 +31,10 @@ from .presentation import (
     GroupConfig,
     ScopeError,
     WGEN,
+    compose_maps,
     verify_hom,
 )
-from .stages import StageGroup, build_stage
+from .stages import StageGroup, basis_matrix, build_stage
 
 
 class UniformizationError(ValueError):
@@ -164,6 +165,13 @@ _PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 # of _PRIMES[b * _BLOCK:(b + 1) * _BLOCK], one entry for each full block.
 _BLOCK = 64
 _BLOCK_PRODUCTS: list[int] = []
+# The codec's reach: encode and decode use only the primes of index below
+# _PRIME_COUNT, and raise ConfigError for a triple packing to a larger index
+# or a code with a prime factor past them.  It covers the palette-2 relation
+# images of stages to depth 51 (the largest index is 694,432 at depth 48);
+# the sieve listing these primes stops below 14.4 million, in about 0.3 s
+# and 100 MB.  A multiple of _BLOCK, so decode's block walk ends on it.
+_PRIME_COUNT = 14 * 2**16
 # _grow_primes checks and extends both lists under this lock, so threads
 # can share them; decode and _nth_prime only read prefixes already grown
 _PRIMES_LOCK = threading.Lock()
@@ -171,7 +179,8 @@ _PRIMES_LOCK = threading.Lock()
 
 def _grow_primes(count: int = 0, reach: int = 0) -> None:
     """Extend _PRIMES until it holds more than `count` primes and its last
-    prime is at least `reach`, and keep _BLOCK_PRODUCTS in step.
+    prime is at least `reach`, or until it holds _PRIME_COUNT primes, and
+    keep _BLOCK_PRODUCTS in step.
 
     Each pass sieves the odd numbers of the segment
     [last + 1, min(2 * (last + 1), last**2)) after the last listed prime.
@@ -180,7 +189,7 @@ def _grow_primes(count: int = 0, reach: int = 0) -> None:
     leaves exactly its primes.  Doubling keeps each segment no longer than
     the list's own reach, so growing to `reach` stops below 2 * reach."""
     with _PRIMES_LOCK:
-        while len(_PRIMES) <= count or _PRIMES[-1] < reach:
+        while len(_PRIMES) < _PRIME_COUNT and (len(_PRIMES) <= count or _PRIMES[-1] < reach):
             last = _PRIMES[-1]
             lo, hi = (last + 1) | 1, min(2 * (last + 1), last * last)
             # sieve[i] stands for the odd number lo + 2 * i
@@ -273,7 +282,10 @@ class MarkedBasisTarget:
     def encode(self, a: MarkedElement) -> int:
         out = 1
         for t, c in a:
-            out *= _nth_prime(_pack3(*t)) ** (self._code(c) + 1)
+            k = _pack3(*t)
+            if k >= _PRIME_COUNT:
+                raise ConfigError(f"triple {t} is not in the enumeration's range")
+            out *= _nth_prime(k) ** (self._code(c) + 1)
         return out - 1
 
     def decode(self, m: int) -> MarkedElement:
@@ -282,11 +294,15 @@ class MarkedBasisTarget:
         skipped whole, and otherwise only the block's primes dividing the gcd
         are divided out.  The walk stops at the first block whose first prime
         p has p * p > m; what is left is then 1 or a prime, found in the list
-        by bisection after growing the list to reach it."""
+        by bisection after growing the list to reach it.  A factor past the
+        codec's reach, the first _PRIME_COUNT primes, raises ConfigError: the
+        walk stops there, and the list is not grown past them."""
         m += 1
         coeffs = {}
         k = 0
         while m > 1:
+            if k == _PRIME_COUNT:
+                raise ConfigError(f"{m} is not in the enumeration's range")
             b = k // _BLOCK
             if b == len(_BLOCK_PRODUCTS):
                 _grow_primes(count=k + _BLOCK - 1)
@@ -308,7 +324,7 @@ class MarkedBasisTarget:
         if m > 1:
             _grow_primes(reach=m)
             k = bisect_left(_PRIMES, m, k)
-            if _PRIMES[k] != m:
+            if k >= _PRIME_COUNT or _PRIMES[k] != m:
                 raise ConfigError(f"{m} is not in the enumeration's range")
             coeffs[_unpack3(k)] = self._uncode(0)
         return tuple(sorted(coeffs.items()))
@@ -619,16 +635,12 @@ def build_twisted(
     # The collapse is the identity matrix on the non-twist basis keys and
     # kills the twist generator, so once that diagonal shape is confirmed
     # the kernel is exactly the twist line and every target key is hit.
-    diagonal = True
-    for key in twisted.stage_basis():
-        img = collapse.apply(FreeElement.single(key))
-        if key.kind == "w":
-            diagonal = diagonal and img.is_zero
-        else:
-            diagonal = diagonal and untwisted.rewrite(img) == FreeElement.single(key)
-    surjective = diagonal and set(untwisted.stage_basis()) == {
-        k for k in twisted.stage_basis() if k.kind != "w"
-    }
+    src_keys, dst_keys, matrix = basis_matrix(collapse, twisted, untwisted)
+    diagonal = all(
+        {dst_keys[j]: q for j, q in row.items()} == ({} if key.kind == "w" else {key: 1})
+        for key, row in zip(src_keys, matrix)
+    )
+    surjective = diagonal and set(dst_keys) == {k for k in src_keys if k.kind != "w"}
     pure = twisted.membership(FreeElement.single(WGEN)).pure_multiple == 1
     report = ExactnessReport(hom.ok, diagonal, pure, surjective)
     return TwistedStage(twisted, untwisted, collapse), report
@@ -750,9 +762,8 @@ def splitting_search(
     hom = verify_hom(section, ts.untwisted.formal_relations())
     if not hom.ok:
         raise ExtensionError("section candidate failed relation check")
-    for g in section.domain():
-        if ts.collapse.apply(section.image_of(g)) != ts.untwisted.realize(g):
-            raise ExtensionError("section candidate is not a right inverse")
+    if compose_maps(ts.collapse, section) != ts.untwisted.realization():
+        raise ExtensionError("section candidate is not a right inverse")
     return replace(result, section=section)
 
 

@@ -11,6 +11,7 @@ projections and freeness certificates finite computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .ordinals import Ordinal, format_ordinal, plus_omega
@@ -179,6 +180,22 @@ def filtration_subgroup(sg: StageGroup, mu: Ordinal) -> tuple[Generator, ...]:
     return tuple(keys)
 
 
+def basis_matrix(
+    gmap: GeneratorMap, src: StageGroup, dst: StageGroup
+) -> tuple[tuple[Generator, ...], tuple[Generator, ...], list[dict[int, Fraction]]]:
+    """The source and destination stage bases and the sparse basis matrix of
+    a map from src to dst: row i maps column indices to the nonzero
+    destination coordinates of the image of source basis key i."""
+    src_keys = src.stage_basis()
+    dst_keys = dst.stage_basis()
+    index = {k: i for i, k in enumerate(dst_keys)}
+    matrix = []
+    for key in src_keys:
+        d, nums = dst.rewrite(gmap.image_of(key)).integer_form()
+        matrix.append({index[k]: Fraction(n, d) for k, n in nums.items()})
+    return src_keys, dst_keys, matrix
+
+
 # ---------------------------------------------------------------------------
 # separability projections
 
@@ -232,9 +249,7 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
     relations = sg.formal_relations()
     hom = verify_hom(gmap, relations)
     sub = filtration_subgroup(sg, nu)
-    identity = sum(
-        1 for key in sub if gmap.apply(FreeElement.single(key)) == sg.realize(key)
-    )
+    identity = sum(1 for key in sub if gmap.image_of(key) == sg.realize(key))
     in_level = sum(
         1
         for g in gmap.domain()
@@ -265,17 +280,14 @@ def _closed_form_notes(cfg, d, cut, gmap: GeneratorMap) -> list[str]:
     shifted weighting psi(j+1) found in closed-form write-ups disagrees
     whenever psi is not constant on the range, and gets a note."""
     notes = []
+    blocks = [gmap.apply(block_element(cfg, d, i)) for i in range(cut)]
     for n in range(cut):
         recursion = gmap.image_of(ygen(d, n))
         plain = FreeElement()
         shifted = FreeElement()
         for i in range(n, cut):
-            blk = gmap.apply(block_element(cfg, d, i))
-            plain = plain + blk.scale(-cfg.psi_product(n, i))
-            w = 1
-            for j in range(n, i):
-                w *= cfg.psi(j + 1)
-            shifted = shifted + blk.scale(-w)
+            plain = plain + blocks[i].scale(-cfg.psi_product(n, i))
+            shifted = shifted + blocks[i].scale(-cfg.psi_product(n + 1, i + 1))
         if plain != recursion:
             notes.append(f"plain closed form diverges at ({format_ordinal(d)},{n})")
         if shifted != recursion:
@@ -369,9 +381,8 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
 def _rank(sg: StageGroup, keys: tuple[Generator, ...], depth: int) -> int:
     """Rank over the rationals of the concrete vectors behind the keys."""
     index: dict[Generator, int] = {}
-    rows = [
-        {index.setdefault(k, len(index)): q
-         for k, q in stage_rewrite(sg.cfg, depth, sg.realize(g)).items()}
-        for g in keys
-    ]
+    rows = []
+    for g in keys:
+        d, nums = stage_rewrite(sg.cfg, depth, sg.realize(g)).integer_form()
+        rows.append({index.setdefault(k, len(index)): Fraction(n, d) for k, n in nums.items()})
     return gauss_jordan(rows, len(index))[1]

@@ -157,8 +157,8 @@ def test_criterion_3_freeness_oracle():
                 for c, v in zip(combo, concrete):
                     e = e + v.scale(c)
                 coords = stage_rewrite(cfg, fb.basis_chain_index, e)
-                integral = all(q.denominator == 1 for _, q in coords.items())
-                supported = all(k in fb.basis for k, _ in coords.items())
+                integral = coords.integer_form()[0] == 1
+                supported = all(k in fb.basis for k in coords.support())
                 ok = ok and integral and supported
                 # purity: dividing by 2 or 3 lands in the group exactly when
                 # it lands in the integer span of the claimed basis
@@ -166,9 +166,8 @@ def test_criterion_3_freeness_oracle():
                     frac = e.scale(Fraction(1, k))
                     in_group = membership(cfg, sg.depth, frac).in_group
                     basis_coords = stage_rewrite(cfg, fb.basis_chain_index, frac)
-                    in_basis = all(
-                        q.denominator == 1 for _, q in basis_coords.items()
-                    ) and all(key in fb.basis for key, _ in basis_coords.items())
+                    in_basis = basis_coords.integer_form()[0] == 1 and all(
+                        key in fb.basis for key in basis_coords.support())
                     ok = ok and (in_group == in_basis)
             if not ok:
                 break

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -82,6 +83,17 @@ SHIPPED_DIGESTS = {
 def test_shipped_reports_keep_their_digests(name, fmt):
     report = render_report(run_scenario(scenario_path(name), dict(OPTIONS)), fmt)
     assert hashlib.sha256(report.encode()).hexdigest() == SHIPPED_DIGESTS[(name, fmt)]
+
+
+def test_shipped_scenarios_in_a_thread_pool_give_the_serial_reports():
+    # the runs share the module-level prime list and the objects' cached
+    # values; four workers interleaving them must not change a byte
+    def run(name):
+        return render_report(run_scenario(scenario_path(name), dict(OPTIONS)), "json").encode()
+
+    serial = [run(name) for name in BUNDLED]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(run, BUNDLED * 4)) == serial * 4
 
 
 def test_cli_exit_codes(tmp_path, capsys):

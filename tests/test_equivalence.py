@@ -109,6 +109,30 @@ def test_overlap_self_coincidences_are_diagonal():
     ) * 1
 
 
+def test_overlap_names_tail_values_shared_across_deltas():
+    # the second system's w^2*2 ladder opens on the w^2 ladder's values, in
+    # the same omega intervals, so the omega-ranges agree; below the
+    # certified threshold 3 those shared values sit at different deltas
+    def dipped(succ):
+        return prefix_special(
+            W2_2,
+            tuple(parse_ordinal(f"w*{n + 1}+{succ}") for n in range(3))
+            + tuple(parse_ordinal(f"w^2*1+w*{n + 1}+1") for n in range(3, 8)),
+        )
+
+    low = make_simple_special(W2, 8)
+    sys_a = LadderSystem.build(ALPHA, {W2: low, W2_2: dipped(3)})
+    sys_b = LadderSystem.build(ALPHA, {W2: low, W2_2: dipped(1)})
+    rep = overlap_check(sys_a, sys_b, Disjointification({W2: 0, W2_2: 0}, False, ()))
+    assert not rep.ok
+    assert rep.coincidences == 16
+    assert rep.violations == tuple(
+        f"value w*{n + 1}+1 shared by (w^2*1,{n}) and (w^2*2,{n})" for n in range(3)
+    )
+    certified = overlap_check(sys_a, sys_b, disjointify(sys_a))
+    assert certified.ok and certified.coincidences == 13
+
+
 def test_overlap_rejects_range_mismatch():
     src = simple_system(8)
     # a ladder climbing twice as fast occupies different omega intervals

@@ -21,7 +21,6 @@ from laddergroups.presentation import (
     MapDomainError,
     Rat,
     ScopeError,
-    TablePsi,
     WGEN,
     block_element,
     chain_element,
@@ -396,13 +395,6 @@ def test_generator_hash_is_fixed_at_construction_and_matches_equality():
     assert Generator("w") == WGEN and hash(Generator("w")) == hash(WGEN)
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
-
-
-def test_chain_element_names_the_highest_missing_psi_entry():
-    sys = LadderSystem.build(ALPHA, {W2: make_simple_special(W2, 8)})
-    cfg = GroupConfig.all_ones(sys, TablePsi((1, 1, 2)))
-    with pytest.raises(ConfigError, match=r"no entry for n = 5$"):
-        chain_element(cfg, W2, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from bisect import bisect_left
@@ -6,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,6 +386,65 @@ def test_codec_decode_matches_oracle_past_pack_index_ten_thousand(far, rest):
         assert outcome(target.decode, m) == outcome(decode_oracle, m, ORACLE_PRIMES) == ("value", e)
         assert target.encode(e) == m
         assert_block_products_in_step()
+
+
+# a fresh process under the CI step's 1 GiB address-space cap: a codec call
+# that sieves toward its input runs out of memory or time instead of raising
+# ConfigError.  The first call's time includes sieving up to the reach.
+REACH_PROBE = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from laddergroups import splitting
+from laddergroups.presentation import ConfigError
+names = {**vars(splitting), "target": splitting.MarkedBasisTarget()}
+
+def outcome(expr):
+    start = time.perf_counter()
+    try:
+        value = eval(expr, names)
+    except ConfigError as exc:
+        return "error", str(exc), time.perf_counter() - start
+    return "value", repr(value), time.perf_counter() - start
+
+print(json.dumps([outcome(expr) for expr in sys.argv[1:]]))
+"""
+
+
+def run_codec_probe(*exprs):
+    """(kind, value or message, seconds) for each expression over the
+    splitting module and a marked target, evaluated in order."""
+    src = str(Path(splitting.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", REACH_PROBE, *exprs], capture_output=True,
+                          text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(out) for out in json.loads(proc.stdout)]
+
+
+def test_codec_decode_past_the_prime_reach_raises_within_a_gib_in_a_second():
+    first, past, last = run_codec_probe(
+        "target.decode(2**61 - 2)",
+        "target.decode(_PRIMES[_PRIME_COUNT] - 1)",
+        "target.decode(_PRIMES[_PRIME_COUNT - 1] - 1)",
+    )
+    assert first[:2] == ("error", f"{2**61 - 1} is not in the enumeration's range")
+    assert first[2] < 1
+    assert past[0] == "error" and past[1].endswith("is not in the enumeration's range")
+    assert last[:2] == ("value", repr(((_unpack3(splitting._PRIME_COUNT - 1), 1),)))
+
+
+def test_codec_encode_past_the_prime_reach_raises_within_a_gib_in_a_second():
+    t = _unpack3(splitting._PRIME_COUNT)
+    far, past, last = run_codec_probe(
+        "target.encode(target.basis(0, 0, 2000))",
+        f"target.encode(target.basis{t})",
+        "target.decode(target.encode(target.basis(*_unpack3(_PRIME_COUNT - 1))))",
+    )
+    assert far[:2] == ("error", "triple (0, 0, 2000) is not in the enumeration's range")
+    assert far[2] < 1
+    assert past[:2] == ("error", f"triple {t} is not in the enumeration's range")
+    # the reach covers the palette-2 relation images of a depth-48 stage
+    assert _pack3(47, 1, 1) == 694432 < splitting._PRIME_COUNT
+    assert last[:2] == ("value", repr(((_unpack3(splitting._PRIME_COUNT - 1), 1),)))
 
 
 def test_roundtrip_disjoint_system():

@@ -522,9 +522,10 @@ def test_chain_table_names_the_lowest_missing_psi_entry():
         chain_table(cfg, W2, 5)
     with pytest.raises(ConfigError, match="psi table has no entry for n = 2$"):
         build_stage(cfg, alpha, 5)
-    # chain_element reads its blocks from n down and names the highest
-    with pytest.raises(ConfigError, match="psi table has no entry for n = 4$"):
+    with pytest.raises(ConfigError, match="psi table has no entry for n = 2$"):
         chain_element(cfg, W2, 5)
+    with pytest.raises(ConfigError, match="psi table has no entry for n = 2$"):
+        stage_rewrite(cfg, 5, FreeElement.single(ygen(W2, 0)))
     assert chain_table(cfg, W2, 2) == [chain_element(cfg, W2, n) for n in range(3)]
 
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from laddergroups import splitting
 from laddergroups.ladders import LadderSystem, make_block_special
 from laddergroups.ordinals import omega_power, parse_ordinal
 from laddergroups.presentation import (
     FreeElement,
+    GeneratorMap,
     GroupConfig,
     ScopeError,
     WGEN,
@@ -90,6 +92,29 @@ def test_collapse_is_right_inverse_target(twisted_pair):
     for beta in ts.untwisted.x_indices[:4]:
         lift = FreeElement.single(xgen(beta))
         assert ts.collapse.apply(lift) == FreeElement.single(xgen(beta))
+
+
+def test_collapse_doubling_an_x_generator_is_not_exact(twisted_pair, monkeypatch):
+    # the untwisted realization sends its first x generator to twice itself,
+    # so the collapse's basis matrix has a 2 on that diagonal entry
+    cfg, c = twisted_pair
+    exact = splitting.build_stage
+
+    def doubled(cfg, alpha, depth, coloring=None):
+        stage = exact(cfg, alpha, depth, coloring=coloring)
+        if coloring is None:
+            images = dict(stage.realization().images)
+            key = xgen(stage.x_indices[0])
+            images[key] = images[key].scale(2)
+            object.__setattr__(stage, "realization", lambda: GeneratorMap(images))
+        return stage
+
+    monkeypatch.setattr(splitting, "build_stage", doubled)
+    ts, ex = build_twisted(cfg, c, ALPHA, 5)
+    assert ts.collapse.image_of(xgen(ts.untwisted.x_indices[0])) == FreeElement.single(
+        xgen(ts.untwisted.x_indices[0]), 2)
+    assert not ex.kernel_is_twist_line and not ex.surjective
+    assert ex.kernel_pure and not ex.ok
 
 
 def test_multi_delta_search_and_obstruction():
