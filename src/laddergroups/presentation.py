@@ -509,46 +509,55 @@ def relation_label(delta: Ordinal, n: int) -> str:
 
 
 def stage_rewrite(cfg, depth: int, e: FreeElement, coloring=None) -> FreeElement:
-    """Coordinates of e over the depth-N stage basis of the whole system
-    (StageGroup.rewrite also checks a stage's level and x universe).
+    """Coordinates of e over the depth-N stage basis of the whole system,
+    walking each seed's ladder (StageGroup.rewrite reads a stage's chain
+    table instead, and checks its scope)."""
+    def chain(delta: Ordinal) -> FreeElement:
+        if delta not in cfg.system.deltas:
+            raise ScopeError(f"{ygen(delta, 0)} indexed outside the ladder system")
+        return chain_element(cfg, delta, depth, coloring)
 
-    The basis is {chain(delta, N)} for delta in the system plus the x
-    generators (plus w for twisted stages); basis coordinates are returned
-    as a combination of the formal keys y(delta, N), x[beta] and w.  A seed
-    y(delta, 0) is P(0, N) * chain(delta, N) minus sum_{i<N} P(0, i) *
-    block(i); the coordinates are summed as integer numerators over e's
-    denominator.  Only y and w terms can be out of scope, and they are
-    rewritten in basis order, so the first offending generator raises.
+    return rewrite_over_chains(e, depth, chain, coloring is not None)
+
+
+def rewrite_over_chains(
+    e: FreeElement, depth: int, chain, twisted: bool, scope=None
+) -> FreeElement:
+    """The one rewrite loop: coordinates of e over the basis {chain(delta,
+    N)} plus the x generators (plus w when twisted), as a combination of the
+    keys y(delta, N), x[beta] and w; chain(delta) gives chain(delta, N).
+
+    A seed y(delta, 0) is P(0, N) * chain(delta, N) minus sum_{i<N} P(0, i)
+    * block(i) (and twist terms), and chain(delta, N) in lowest terms is
+    P(0, N) over that walked row, with seed numerator 1.  The coordinates
+    are summed as integer numerators over e's denominator.  Generators are
+    read in basis order; the first one out of scope raises ScopeError: a
+    chain symbol, w when not twisted, or an x generator or seed not in the
+    given scope.
     """
     d, nums = e.integer_form()
     out: dict[Generator, int] = {}
-    rest = []
-    for g, n in nums.items():
-        if g.kind == "x":
-            out[g] = out.get(g, 0) + n
-        else:
-            rest.append(g)
-    for g in sorted(rest, key=Generator.sort_key):
+    for g in sorted(nums, key=Generator.sort_key):
         n = nums[g]
         if g.kind == "w":
-            if coloring is None:
+            if not twisted:
                 raise ScopeError("twist generator outside a twisted stage")
-            out[WGEN] = out.get(WGEN, 0) + n
-            continue
-        if g.index != 0:
+        elif g.kind == "y" and g.index != 0:
             raise ScopeError(
                 f"{g} is a formal chain symbol, not an element of the group span"
             )
-        delta = g.ordinal
-        if delta not in cfg.system.deltas:
-            raise ScopeError(f"{g} indexed outside the ladder system")
-        *_, (p, row) = _chain_walk(cfg, delta, depth, coloring)
+        elif scope is not None and g not in scope:
+            raise ScopeError(f"{g} outside the stage")
+        if g.kind != "y":
+            out[g] = out.get(g, 0) + n
+            continue
+        p, row = chain(g.ordinal).integer_form()
         # row is P(0, N) * chain(delta, N) with seed term 1: subtract all of
         # it but the seed, and add P(0, N) * y(delta, N)
         for h, c in row.items():
             out[h] = out.get(h, 0) - n * c
         out[g] += n
-        key = ygen(delta, depth)
+        key = ygen(g.ordinal, depth)
         out[key] = out.get(key, 0) + n * p
     return FreeElement.from_numerators(d, out)
 
@@ -561,8 +570,9 @@ class MembershipResult:
 
 
 def membership(cfg, depth: int, e: FreeElement, coloring=None) -> MembershipResult:
-    """Integer-span membership in the system's depth-N stage (as in
-    stage_rewrite), with the least positive multiple landing in it."""
+    """Integer-span membership in the system's depth-N stage, walking each
+    seed's ladder as stage_rewrite does (StageGroup.membership reads a
+    stage's chain table), with the least positive multiple landing in it."""
     coords = stage_rewrite(cfg, depth, e, coloring)
     mult = coords.integer_form()[0]
     return MembershipResult(mult == 1, mult, coords)
@@ -572,7 +582,8 @@ def membership_at_level(
     cfg, depth: int, e: FreeElement, level: Ordinal, coloring=None
 ) -> bool:
     """Membership in the filtration subgroup at the given level of the
-    system's depth-N stage: integral coordinates on the keys it admits."""
+    system's depth-N stage, walking each seed's ladder as stage_rewrite
+    does: integral coordinates on the keys it admits."""
     d, nums = stage_rewrite(cfg, depth, e, coloring).integer_form()
     return d == 1 and not any(
         g.kind != "w" and level < generator_level(g) for g in nums

@@ -29,10 +29,8 @@ from .presentation import (
     chain_table,
     gauss_jordan,
     generator_level,
-    membership,
-    membership_at_level,
     relation_label,
-    stage_rewrite,
+    rewrite_over_chains,
     verify_hom,
     xgen,
     ygen,
@@ -42,7 +40,8 @@ from .presentation import (
 @dataclass(frozen=True)
 class StageGroup:
     """A stage as built by build_stage; chains maps each chain symbol
-    y(delta, n) with n <= depth to its concrete chain element."""
+    y(delta, n) with n <= depth to its concrete chain element, the table
+    that realize, rewrite and membership read."""
 
     cfg: GroupConfig
     alpha: Ordinal
@@ -108,28 +107,27 @@ class StageGroup:
             gmap.images[key] = gmap.apply(rel + FreeElement.single(key))
         return gmap
 
-    def rewrite(self, e: FreeElement) -> FreeElement:
-        """Coordinates of e over the stage basis.  The first generator of e
-        in basis order that is not in the stage raises ScopeError: an x
-        generator or seed not the stage's, a chain symbol, or w on an
-        untwisted stage."""
-        self._check_scope(e)
-        return stage_rewrite(self.cfg, self.depth, e, self.coloring)
+    def rewrite(self, e: FreeElement, depth: int | None = None) -> FreeElement:
+        """Coordinates of e over the stage basis, or over the basis with
+        chain index `depth` (at most the stage's), read from the stage's
+        chain table.  The first generator of e in basis order that is not
+        in the stage raises ScopeError: an x generator or seed not the
+        stage's, a chain symbol, w on an untwisted stage, or a seed past the
+        stage depth."""
+        depth = self.depth if depth is None else depth
+        return rewrite_over_chains(e, depth, lambda d: self.realize(ygen(d, depth)),
+                                   self.coloring is not None, self._scope)
 
     def membership(self, e: FreeElement) -> MembershipResult:
-        self._check_scope(e)
-        return membership(self.cfg, self.depth, e, self.coloring)
+        """Integer-span membership in the stage, with the least positive
+        multiple landing in it."""
+        coords = self.rewrite(e)
+        mult = coords.integer_form()[0]
+        return MembershipResult(mult == 1, mult, coords)
 
     @cached_property
     def _scope(self) -> frozenset[Generator]:
         return frozenset(self.presentation_generators())
-
-    def _check_scope(self, e: FreeElement) -> None:
-        for g in e.support():
-            if g.kind == "w" or g.index:
-                return  # w comes last; stage_rewrite names a chain symbol
-            if g not in self._scope:
-                raise ScopeError(f"{g} outside the stage")
 
 
 def build_stage(
@@ -250,11 +248,13 @@ def projection(sg: StageGroup, nu: Ordinal) -> tuple[GeneratorMap, ProjectionRep
     hom = verify_hom(gmap, relations)
     sub = filtration_subgroup(sg, nu)
     identity = sum(1 for key in sub if gmap.image_of(key) == sg.realize(key))
-    in_level = sum(
-        1
-        for g in gmap.domain()
-        if membership_at_level(cfg, sg.depth, gmap.image_of(g), nu)
-    )
+    # in the level subgroup: integral coordinates on the keys it admits
+    admitted = set(sub)
+    in_level = 0
+    for g in gmap.domain():
+        d, nums = sg.rewrite(gmap.image_of(g)).integer_form()
+        if d == 1 and admitted.issuperset(nums):
+            in_level += 1
     idem = sum(
         1 for g in gmap.domain() if gmap.apply(gmap.image_of(g)) == gmap.image_of(g)
     )
@@ -323,6 +323,8 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     element primitive).  Every closure element is certified to rewrite
     integrally over the basis.
     """
+    if sg.coloring is not None:
+        raise ScopeError("freeness bases are defined on untwisted stages")
     cfg = sg.cfg
     for g in T:
         if g not in sg._scope:
@@ -356,8 +358,7 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     problems = []
     basis_sorted = tuple(sorted(basis, key=Generator.sort_key))
     for g in sorted(closure, key=Generator.sort_key):
-        concrete = sg.realize(g)
-        coords = stage_rewrite(cfg, mstar, concrete)
+        coords = sg.rewrite(sg.realize(g), mstar)
         den, nums = coords.integer_form()
         for key in coords.support():
             if nums[key] % den:
@@ -383,6 +384,6 @@ def _rank(sg: StageGroup, keys: tuple[Generator, ...], depth: int) -> int:
     index: dict[Generator, int] = {}
     rows = []
     for g in keys:
-        d, nums = stage_rewrite(sg.cfg, depth, sg.realize(g)).integer_form()
+        d, nums = sg.rewrite(sg.realize(g), depth).integer_form()
         rows.append({index.setdefault(k, len(index)): Fraction(n, d) for k, n in nums.items()})
     return gauss_jordan(rows, len(index))[1]

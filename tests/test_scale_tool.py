@@ -4,20 +4,39 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ROWS = (("build_stage", "layer"), ("freeness", "layer"), ("obstruct", "e2e"),
+        ("roundtrip", "e2e"))
+
+
+def _scale(*args):
+    subprocess.run([sys.executable, str(ROOT / "tools" / "scale.py"), *args],
+                   check=True, capture_output=True, timeout=240)
 
 
 def test_scale_tool_writes_every_row_under_its_label(tmp_path):
     out = tmp_path / "scale.json"
-    for label in ("a", "b"):
-        subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "scale.py"), "--src", str(ROOT / "src"),
-             "--depths", "3", "4", "--runs", "1", "--label", label, "--out", str(out)],
-            check=True, capture_output=True, timeout=120)
+    src = str(ROOT / "src")
+    _scale("--src", src, "--depths", "3", "4", "--runs", "1", "--label", "a", "--out", str(out))
+    _scale("--src", src, "--src", src, "--depths", "3", "--runs", "2", "--label", "b",
+           "--out", str(out))
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record) == ["a", "b"]
-    rows = record["b"]["rows"]
-    assert [(r["name"], r["kind"], r["depth"]) for r in rows] == [
-        (name, kind, depth)
-        for name, kind in (("build_stage", "layer"), ("obstruct", "e2e"), ("roundtrip", "e2e"))
-        for depth in (3, 4)]
-    assert all(len(r["runs"]) == 1 and r["median_s"] == r["runs"][0] >= 0 for r in rows)
+    one, two = record["a"], record["b"]
+    assert len(one["commits"]) == 1 and len(two["commits"]) == 2
+    assert [(r["name"], r["kind"], r["depth"]) for r in one["rows"]] == [
+        (name, kind, depth) for name, kind in ROWS for depth in (3, 4)]
+    assert [(r["name"], r["depth"]) for r in two["rows"]] == [(name, 3) for name, _ in ROWS]
+    for r in one["rows"]:
+        (side,) = r["sides"]
+        assert len(side["runs"]) == 1 and side["median_s"] == side["runs"][0] >= 0
+        assert side["iqr_s"] == 0 and "won" not in r
+    for r in two["rows"]:
+        assert len(r["sides"]) == 2
+        for side in r["sides"]:
+            assert len(side["runs"]) == 2 and side["iqr_s"] >= 0
+            assert min(side["runs"]) <= side["median_s"] <= max(side["runs"])
+        # each run is won by one tree or tied, so the shares sum to at most 1
+        a, b = (side["runs"] for side in r["sides"])
+        assert r["won"] == [sum(x < y for x, y in zip(a, b)) / 2,
+                            sum(y < x for x, y in zip(a, b)) / 2]
+        assert sum(r["won"]) <= 1

@@ -347,6 +347,16 @@ def test_freeness_with_positive_first_breakpoint():
     assert xgen(nat(3)) in fb.basis
 
 
+def test_freeness_basis_rejects_a_twisted_stage_up_front():
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 8)})
+    coloring = Coloring({W2: (0, 1, 0, 1, 1, 0)}, 2)
+    sg = build_stage(GroupConfig.all_ones(sys), alpha, 6, coloring=coloring)
+    with pytest.raises(ScopeError) as err:
+        freeness_basis(sg, (ygen(W2, 2),))
+    assert str(err.value) == "freeness bases are defined on untwisted stages"
+
+
 def _as_oracle(e):
     """e as a Fraction-backed oracle element, read off its coefficients."""
     return FractionElement(dict(e.items()))
@@ -574,6 +584,8 @@ def test_stage_rewrite_matches_fraction_oracle(stage_args, data):
     for rewrite_depth in range(depth + 1):
         expect = _stage_rewrite_oracle(cfg, rewrite_depth, e, coloring)
         assert _as_oracle(stage_rewrite(cfg, rewrite_depth, e, coloring)) == expect
+        # the stage reads the same coordinates from its chain table
+        assert _as_oracle(sg.rewrite(e, rewrite_depth)) == expect
     # a formal chain symbol, or w outside a twisted stage, fails the same way
     chain_symbols = [ygen(d, n) for d in sg.deltas for n in range(1, depth + 1)]
     outside = chain_symbols + ([WGEN] if coloring is None else [])
@@ -582,6 +594,7 @@ def test_stage_rewrite_matches_fraction_oracle(stage_args, data):
                                      data.draw(nonzero_fractions))
         outcome = _outcome(stage_rewrite, cfg, rewrite_depth, bad, coloring)
         assert outcome == _outcome(_stage_rewrite_oracle, cfg, rewrite_depth, bad, coloring)
+        assert outcome == _outcome(sg.rewrite, bad, rewrite_depth)
         assert outcome[0] is ScopeError
 
 
@@ -725,6 +738,9 @@ def test_stage_rewrite_and_membership_reject_generators_outside_the_stage():
             assert str(err.value) == f"{named} outside the stage"
     with pytest.raises(ScopeError, match="outside the stage"):
         sg.realize(ygen(W2_2, 1))
+    # a seed rewritten past the stage depth has no chain in the stage's table
+    with pytest.raises(ScopeError, match=r"y\[w\^2\*1,5\] outside the stage"):
+        sg.rewrite(FreeElement.single(ygen(W2, 0)), sg.depth + 1)
     # the stage's own generators rewrite as before
     inside = FreeElement({ygen(W2, 0): 1, xgen(sg.x_indices[-1]): 2})
     assert sg.rewrite(inside) == stage_rewrite(sg.cfg, 4, inside)

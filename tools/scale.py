@@ -1,25 +1,36 @@
 """Depth scaling of laddergroups, one fresh process per measurement.
 
-    python3 tools/scale.py --src PATH [--depths 8 16 24 32 48] [--runs 3]
-                           [--label NAME] [--out FILE]
+    python3 tools/scale.py --src PATH [--src PATH2] [--depths 8 16 24 32 48]
+                           [--runs 3] [--label NAME] [--out FILE]
 
-PATH is the ``src`` directory of the checkout to measure, so two checkouts
-are measured by the same tool and on the same inputs.  The inputs come from
-the generators of ``bench/workloads.py`` next to this file, read-only, at
-seed 0.  Rows, each measured at every depth:
+PATH is the ``src`` directory of the checkout to measure, so checkouts are
+measured by the same tool and on the same inputs.  With a second ``--src``
+the two trees are interleaved run by run: each run of a row measures both
+trees, and the tree measured first alternates from run to run, so drift in
+the host's load falls on both sides alike.  The inputs come from the
+generators of ``bench/workloads.py`` next to this file, read-only, at seed
+0.  Rows, each measured at every depth:
 
 - ``build_stage`` (layer): a warm build of the stage of three rule-backed
   ladders (``w^2``, ``w^2*2``, ``w^3``, blocks of offsets (1, 2), unit
   coefficients, factorial psi) at level ``w^3+1``;
+- ``freeness`` (layer): ``freeness_basis`` on every subset of one to three
+  generators of a fixed pool (the seed and chain symbol ``depth - 2`` of
+  ``w^2``, chain symbol ``depth // 2`` of ``w^2*2``, and an x generator of
+  each ladder) on the stage of two rule-backed ladders (``w^2``,
+  ``w^2*2``, blocks of offsets (1, 2), alternating coefficients, factorial
+  psi) at level ``w^2*2+1``;
 - ``obstruct`` (e2e): the splitting-deep obstruct scenario with
   ``zero_splits`` through ``cli.main``;
 - ``roundtrip`` (e2e): the marked-target extension and recovery scenario
   through ``cli.main``.
 
-Each row's time is the median CPU time (``time.process_time``, import
-excluded) of ``--runs`` fresh processes.  The record, with the commit and
-Python version, is printed as JSON and, with ``--out``, merged into FILE
-under ``--label``.
+Each row records, for each tree in ``--src`` order, the CPU times
+(``time.process_time``, import excluded) of ``--runs`` fresh processes and
+their median and interquartile range; with two trees it also records the
+share of runs each tree was faster in (ties count for neither).  The
+record, with each tree's commit and the Python version, is printed as JSON
+and, with ``--out``, merged into FILE under ``--label``.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -37,7 +49,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROWS = {"build_stage": "layer", "obstruct": "e2e", "roundtrip": "e2e"}
+ROWS = {"build_stage": "layer", "freeness": "layer", "obstruct": "e2e", "roundtrip": "e2e"}
 SEED = 0
 
 
@@ -66,6 +78,21 @@ def measure(row: str, depth: int) -> float:
         t = time.process_time()
         lg.build_stage(cfg, alpha, depth)
         return time.process_time() - t
+    if row == "freeness":
+        alpha = lg.parse_ordinal("w^2*2+1")
+        low, high = map(lg.parse_ordinal, ("w^2", "w^2*2"))
+        system = lg.LadderSystem.build(
+            alpha, {d: lg.make_block_special(d, depth + 1) for d in (low, high)})
+        sg = lg.build_stage(lg.GroupConfig.alternating(system), alpha, depth)
+        pool = (lg.ygen(low, 0), lg.ygen(low, depth - 2), lg.ygen(high, depth // 2),
+                lg.xgen(system.ladder(low).entries[0]),
+                lg.xgen(system.ladder(high).entries[depth]))
+        t = time.process_time()
+        for size in (1, 2, 3):
+            for T in itertools.combinations(pool, size):
+                if not lg.freeness_basis(sg, T).ok:
+                    raise RuntimeError(f"freeness basis of {T} at depth {depth} failed")
+        return time.process_time() - t
     from laddergroups import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,7 +114,7 @@ def _fresh(src: str, row: str, depth: int) -> float:
         capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{row} at depth {depth} failed:\n{proc.stderr}")
-    return float(proc.stdout)
+    return round(float(proc.stdout), 5)
 
 
 def _commit(src: str) -> str | None:
@@ -96,35 +123,54 @@ def _commit(src: str) -> str | None:
     return proc.stdout.strip() or None
 
 
-def record(src: str, depths: list[int], runs: int) -> dict:
+def _side(times: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                      if len(times) > 1 else times * 3)
+    return {"median_s": round(median, 5), "iqr_s": round(q3 - q1, 5),
+            "runs": times}
+
+
+def record(srcs: list[str], depths: list[int], runs: int) -> dict:
     rows = []
     for row, kind in ROWS.items():
         for depth in depths:
-            times = [_fresh(src, row, depth) for _ in range(runs)]
-            rows.append({"name": row, "kind": kind, "depth": depth,
-                         "median_s": round(statistics.median(times), 5),
-                         "runs": [round(t, 5) for t in times]})
-    return {"commit": _commit(src), "python": platform.python_version(),
+            times: list[list[float]] = [[] for _ in srcs]
+            for run in range(runs):
+                order = range(len(srcs)) if run % 2 == 0 else reversed(range(len(srcs)))
+                for side in order:
+                    times[side].append(_fresh(srcs[side], row, depth))
+            entry = {"name": row, "kind": kind, "depth": depth,
+                     "sides": [_side(t) for t in times]}
+            if len(srcs) == 2:
+                a, b = times
+                entry["won"] = [sum(x < y for x, y in zip(a, b)) / runs,
+                                sum(y < x for x, y in zip(a, b)) / runs]
+            rows.append(entry)
+    return {"commits": [_commit(src) for src in srcs], "python": platform.python_version(),
             "nproc": os.cpu_count(), "seed": SEED, "rows": rows}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="src directory of the checkout to measure")
+    parser.add_argument("--src", required=True, action="append",
+                        help="src directory of a checkout to measure; give it twice to "
+                             "interleave two checkouts")
     parser.add_argument("--depths", type=int, nargs="+", default=[8, 16, 24, 32, 48])
     parser.add_argument("--runs", type=int, default=3, help="fresh processes per row and depth")
     parser.add_argument("--label", default="run", help="key of this record in --out")
     parser.add_argument("--out", help="JSON file to merge the record into")
     parser.add_argument("--child", nargs=2, metavar=("ROW", "DEPTH"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
+    srcs = [os.path.abspath(src) for src in args.src]
     if args.child:
-        sys.path.insert(0, src)
+        sys.path.insert(0, srcs[0])
         print(measure(args.child[0], int(args.child[1])))
         return 0
+    if len(srcs) > 2:
+        parser.error("--src may be given at most twice")
     if args.runs < 1 or any(d < 3 for d in args.depths):
         parser.error("--runs must be positive and every depth at least 3")
-    rec = record(src, args.depths, args.runs)
+    rec = record(srcs, args.depths, args.runs)
     print(json.dumps(rec, indent=2))
     if args.out:
         merged = {}
