@@ -312,7 +312,8 @@ def _stage(ctx, chk, where, system: LadderSystem) -> tuple[int, Ordinal]:
     """The check's chain depth and stage level.  The level is the check's
     alpha, else the run's --stage, else the system's."""
     depth = _get(chk, "depth", where, NAT, ctx["depth"])
-    return depth, _get(chk, "alpha", where, ORDINAL, None) or ctx["stage"] or system.alpha
+    levels = (_get(chk, "alpha", where, ORDINAL, None), ctx["stage"], system.alpha)
+    return depth, next(level for level in levels if level is not None)
 
 
 def _check_validate(ctx, chk, where):
@@ -565,7 +566,7 @@ def run_scenario(path: str, options: dict) -> dict:
             "bound": options["bound"],
             "depth": options["depth"],
             "seed": options["seed"],
-            "stage": format_ordinal(options["stage"]) if options["stage"] else None,
+            "stage": None if options["stage"] is None else format_ordinal(options["stage"]),
         },
         "checks": checks,
         "passed": sum(1 for c in checks if c["ok"]),

@@ -59,8 +59,8 @@ def _tails_disjoint(sys: LadderSystem, thresholds: dict[Ordinal, int]) -> bool:
     expanded: list[set] = []
     for d, sl in sys.items():
         m = thresholds[d]
-        blocks.append({v.terms for v in omega_range(sl).blocks[m:]})
-        expanded.append({v.terms for _, v in _tail(sl, m)})
+        blocks.append(set(omega_range(sl).blocks[m:]))
+        expanded.append({v for _, v in _tail(sl, m)})
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             if blocks[i] & blocks[j] or expanded[i] & expanded[j]:
@@ -117,14 +117,14 @@ def overlap_check(
         raise LadderInvalidError("omega-ranges of the two systems differ")
     count = 0
     violations = []
-    tails_b = {d2: {v.terms: m for m, v in _tail(l2, d.m(d2))} for d2, l2 in sys_b.items()}
+    tails_b = {d2: {v: m for m, v in _tail(l2, d.m(d2))} for d2, l2 in sys_b.items()}
     for d1, l1 in sys_a.items():
         tail = _tail(l1, d.m(d1))
         for d2, vals2 in tails_b.items():
             for n, v in tail:
-                if v.terms in vals2:
+                if v in vals2:
                     count += 1
-                    m = vals2[v.terms]
+                    m = vals2[v]
                     if d1 != d2 or m != n:
                         violations.append(
                             f"value {v} shared by ({format_ordinal(d1)},{n}) "
@@ -147,7 +147,7 @@ def build_matched_stages(
         for dd in cfg.system.deltas_below(alpha):
             sl = cfg.system.ladder(dd)
             shared.update(sl.entries[: sl.k(depth)])
-    extra = tuple(sorted(shared, key=lambda o: o.terms))
+    extra = tuple(sorted(shared))
     return (
         build_stage(cfg_src, alpha, depth, extra_x=extra),
         build_stage(cfg_dst, alpha, depth, extra_x=extra),
@@ -295,18 +295,18 @@ def _level_checks(
     rows vanish on the new columns, so M = [[M', 0], [C, D]] and only the
     new diagonal block D is eliminated: |det M| = |det M'| * |det D|.
     """
-    row_level = [generator_level(k).terms for k in src_keys]
-    levels = sorted({*row_level, src.alpha.terms})
-    top = bisect_right(levels, dst.alpha.terms)
+    row_level = [generator_level(k) for k in src_keys]
+    levels = sorted({*row_level, src.alpha})
+    top = bisect_right(levels, dst.alpha)
     if top < len(levels):
-        raise ScopeError(f"level {Ordinal(levels[top])} above stage level {dst.alpha}")
-    step = {terms: s for s, terms in enumerate(levels)}
+        raise ScopeError(f"level {levels[top]} above stage level {dst.alpha}")
+    step = {mu: s for s, mu in enumerate(levels)}
     new_rows: list[list[int]] = [[] for _ in levels]
-    for i, terms in enumerate(row_level):
-        new_rows[step[terms]].append(i)
+    for i, mu in enumerate(row_level):
+        new_rows[step[mu]].append(i)
     new_cols: list[list[int]] = [[] for _ in levels]
     col_step = [
-        0 if k.kind == "w" else bisect_left(levels, generator_level(k).terms)
+        0 if k.kind == "w" else bisect_left(levels, generator_level(k))
         for k in dst_keys
     ]
     for j, s in enumerate(col_step):
@@ -317,7 +317,7 @@ def _level_checks(
     cols: list[int] = []
     reach = 0  # the step by which every admitted row's support is admitted
     det = None  # |det| of the previous level's block if contained and square
-    for s, terms in enumerate(levels):
+    for s, mu in enumerate(levels):
         rows += new_rows[s]
         cols += new_cols[s]
         reach = max([reach, *(col_step[j] for i in new_rows[s] for j in matrix[i])])
@@ -327,7 +327,7 @@ def _level_checks(
             det = abs(_block_det(matrix, rows, cols))
         else:
             det *= abs(_block_det(matrix, new_rows[s], new_cols[s]))
-        checks.append((format_ordinal(Ordinal(terms)), det == 1))
+        checks.append((format_ordinal(mu), det == 1))
     return tuple(checks)
 
 

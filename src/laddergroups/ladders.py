@@ -234,11 +234,11 @@ def _rule_for(delta: Ordinal, offsets: tuple[tuple[int, ...], ...]) -> BlockRule
         raise LadderShapeError(f"{delta} is not a limit ordinal")
     if not delta.divisible_by_omega_squared:
         raise LadderShapeError(f"w^2 does not divide {delta}")
-    exp, coeff = delta.terms[-1]
+    exp, coeff = delta[-1]
     if coeff > 1:
-        base = Ordinal(delta.terms[:-1] + ((exp, coeff - 1),))
+        base = Ordinal(delta[:-1] + ((exp, coeff - 1),))
     else:
-        base = Ordinal(delta.terms[:-1])
+        base = Ordinal(delta[:-1])
     return BlockRule(base, exp - 1, offsets)
 
 
@@ -352,7 +352,7 @@ class LadderSystem:
             problems.extend(f"{tag}: {msg}" for msg in sl.report.errors)
         if problems:
             raise LadderSystemError("; ".join(problems))
-        ordered = tuple(sorted(ladders.items(), key=lambda kv: kv[0].terms))
+        ordered = tuple(sorted(ladders.items()))
         return cls(alpha, ordered)
 
     @property
@@ -391,24 +391,23 @@ class TreeLikeReport:
 
 def is_tree_like(sys: LadderSystem) -> TreeLikeReport:
     """Coincidences between ladders must happen at equal indices with full
-    agreement below; returns the violating quadruple otherwise."""
+    agreement below; returns the violating quadruple otherwise, the first
+    one over the pairs of ladders in delta order and then ascending n.
+
+    Each value is looked up in a value-to-index map of the other ladder: a
+    ladder's entries strictly increase, so a value has at most one index."""
     items = sys.items()
-    for a in range(len(items)):
-        d1, l1 = items[a]
+    index = [{v: m for m, v in enumerate(sl.entries)} for _, sl in items]
+    for a, (d1, l1) in enumerate(items):
         for b in range(a + 1, len(items)):
             d2, l2 = items[b]
-            for n, v1 in enumerate(l1.entries):
-                for m, v2 in enumerate(l2.entries):
-                    if v1 != v2:
-                        continue
-                    if n != m:
-                        return TreeLikeReport(
-                            False,
-                            (format_ordinal(d1), n, format_ordinal(d2), m, "index-mismatch"),
-                        )
-                    if l1.entries[:n] != l2.entries[:n]:
-                        return TreeLikeReport(
-                            False,
-                            (format_ordinal(d1), n, format_ordinal(d2), m, "prefix-disagreement"),
-                        )
+            # the entries below n agree exactly when n <= agree
+            agree = next((i for i, (u, v) in enumerate(zip(l1.entries, l2.entries)) if u != v),
+                         min(l1.depth, l2.depth))
+            for n, v in enumerate(l1.entries):
+                m = index[b].get(v)
+                if m is not None and (n != m or n > agree):
+                    kind = "index-mismatch" if n != m else "prefix-disagreement"
+                    return TreeLikeReport(
+                        False, (format_ordinal(d1), n, format_ordinal(d2), m, kind))
     return TreeLikeReport(True)

@@ -20,68 +20,68 @@ a sum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import total_ordering
 
 
 class OrdinalParseError(ValueError):
     """Raised for malformed or non-canonical ordinal literals."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    terms: tuple[tuple[int, int], ...] = ()
+class Ordinal(tuple):
+    """An ordinal below w^w: the tuple of its CNF terms (exponent,
+    coefficient), so equality, hashing and order are the tuple's."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, terms=()) -> "Ordinal":
+        # a tuple first: dataclasses.asdict rebuilds a tuple subclass from a generator
+        terms = tuple(terms)
         prev = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if exp < 0 or coeff < 1:
                 raise ValueError(f"bad CNF term ({exp}, {coeff})")
             if prev is not None and exp >= prev:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
+        return super().__new__(cls, terms)
 
-    # -- order ------------------------------------------------------------
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return self.terms < other.terms
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The CNF terms as a plain tuple."""
+        return tuple(self)
 
     # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     @property
     def is_limit(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] >= 1
+        return bool(self) and self[-1][0] >= 1
 
     @property
     def divisible_by_omega_squared(self) -> bool:
-        return all(exp >= 2 for exp, _ in self.terms)
+        return all(exp >= 2 for exp, _ in self)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if other.is_zero:
+        if not other:
             return self
-        lead = other.terms[0][0]
-        kept = [t for t in self.terms if t[0] > lead]
-        merged = list(other.terms)
-        for exp, coeff in self.terms:
+        lead, lead_coeff = other[0]
+        kept = tuple(t for t in self if t[0] > lead)
+        for exp, coeff in self:
             if exp == lead:
-                merged[0] = (lead, coeff + other.terms[0][1])
-                break
-        return Ordinal(tuple(kept) + tuple(merged))
+                return Ordinal(kept + ((lead, coeff + lead_coeff),) + other[1:])
+        return Ordinal(kept + other)
 
     @property
     def limit_part(self) -> "Ordinal":
         """Largest limit ordinal (or 0) with self = limit_part + finite."""
-        if self.terms and self.terms[-1][0] == 0:
-            return Ordinal(self.terms[:-1])
+        if self and self[-1][0] == 0:
+            return Ordinal(self[:-1])
         return self
 
     def __str__(self) -> str:
@@ -151,10 +151,10 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def format_ordinal(a: Ordinal) -> str:
-    if a.is_zero:
+    if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         if exp == 0:
             parts.append(str(coeff))
         elif exp == 1:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .ladders import LadderSystem
-from .ordinals import Ordinal, format_ordinal
+from .ordinals import ONE, Ordinal, format_ordinal
 
 Rat = Fraction | int
 
@@ -39,30 +40,19 @@ class ConfigError(ValueError):
 # generators
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A generator; its hash is computed once, at construction, because
-    generators key every coefficient dict."""
+class Generator(NamedTuple):
+    """A generator, the tuple (kind, ordinal, index): generators key every
+    coefficient dict, so their equality and hashing are the tuple's."""
 
     kind: str  # "x" | "y" | "w"
     ordinal: Ordinal | None = None
     index: int | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.ordinal, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy in another process rehashes
-        return Generator, (self.kind, self.ordinal, self.index)
-
     def sort_key(self):
         if self.kind == "x":
-            return (0, self.ordinal.terms, 0)
+            return (0, self.ordinal, 0)
         if self.kind == "y":
-            return (1, self.ordinal.terms, self.index)
+            return (1, self.ordinal, self.index)
         return (2, (), 0)
 
     def __str__(self) -> str:
@@ -92,7 +82,7 @@ def generator_level(g: Generator) -> Ordinal:
     if g.kind == "x":
         return g.ordinal.limit_part
     if g.kind == "y":
-        return g.ordinal + Ordinal(((0, 1),))
+        return g.ordinal + ONE
     raise ScopeError("the twist generator has no filtration level")
 
 

@@ -158,7 +158,7 @@ def build_stage(
     chains = {ygen(d, n): e for d in deltas
               for n, e in enumerate(chain_table(cfg, d, depth, coloring))}
     stage = StageGroup(cfg, alpha, depth, coloring,
-                       tuple(sorted(xs, key=lambda o: o.terms)), chains)
+                       tuple(sorted(xs)), chains)
     hom = verify_hom(stage.realization(), stage.formal_relations())
     if not hom.ok:
         label, residue = hom.failures[0]
@@ -329,7 +329,7 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     for g in T:
         if g not in sg._scope:
             raise ScopeError(f"{g} outside stage scope")
-    touched = sorted({g.ordinal for g in T if g.kind == "y"}, key=lambda o: o.terms)
+    touched = sorted({g.ordinal for g in T if g.kind == "y"})
     if not touched:
         basis = tuple(sorted(set(T), key=Generator.sort_key))
         return FreenessBasis(basis, 0, 0, basis, True, ())

@@ -92,6 +92,31 @@ def test_stage_flag_overrides_default_level(tmp_path):
     assert report["options"]["stage"] == "w^2*1+1"
 
 
+def test_stage_zero_is_a_level_not_a_missing_one(tmp_path):
+    scenario = {
+        "systems": {
+            "s": {"alpha": "w^2*2+1",
+                  "ladders": [{"delta": "w^2", "family": "simple", "blocks": 6}]}
+        },
+        "groups": {"g": {"system": "s", "coeffs": "ones"}},
+        "checks": [{"check": "build", "group": "g", "depth": 4},
+                   {"check": "build", "group": "g", "depth": 4, "alpha": "0"}],
+    }
+    path = tmp_path / "stage0.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "o.json"
+    levels = {}
+    for flags in ([], ["--stage", "0"]):
+        assert main(["run", str(path), *flags, "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        levels[tuple(flags)] = (report["options"]["stage"],
+                                [(c["alpha"], c["chain_basis"]) for c in report["checks"]])
+    assert levels == {
+        (): (None, [("w^2*2+1", 1), ("0", 0)]),
+        ("--stage", "0"): ("0", [("0", 0), ("0", 0)]),
+    }
+
+
 def test_random_phi_extension_seeded(tmp_path):
     scenario = {
         "systems": {

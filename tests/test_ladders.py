@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import find, given, strategies as st
 
 from laddergroups import ladders
 from laddergroups.ladders import (
@@ -7,6 +8,7 @@ from laddergroups.ladders import (
     LadderSystem,
     LadderSystemError,
     PrefixExhaustedError,
+    TreeLikeReport,
     companion_same_range,
     first_block_reaching,
     is_tree_like,
@@ -17,7 +19,7 @@ from laddergroups.ladders import (
     validate_special,
     _from_rule,
 )
-from laddergroups.ordinals import nat, omega_power, parse_ordinal, plus_omega
+from laddergroups.ordinals import format_ordinal, nat, omega_power, parse_ordinal, plus_omega
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -160,6 +162,66 @@ def test_tree_like_monotone_under_prefix_restriction():
     assert is_tree_like(sys).ok
     for blocks in (1, 2, 4):
         assert is_tree_like(sys.restrict_blocks(blocks)).ok
+
+
+def tree_like_scan(sys):
+    """is_tree_like by comparing every entry of one ladder with every entry
+    of the other, the oracle of the indexed lookup."""
+    items = sys.items()
+    for a in range(len(items)):
+        d1, l1 = items[a]
+        for b in range(a + 1, len(items)):
+            d2, l2 = items[b]
+            for n, v1 in enumerate(l1.entries):
+                for m, v2 in enumerate(l2.entries):
+                    if v1 != v2:
+                        continue
+                    if n != m:
+                        return TreeLikeReport(
+                            False,
+                            (format_ordinal(d1), n, format_ordinal(d2), m, "index-mismatch"),
+                        )
+                    if l1.entries[:n] != l2.entries[:n]:
+                        return TreeLikeReport(
+                            False,
+                            (format_ordinal(d1), n, format_ordinal(d2), m, "prefix-disagreement"),
+                        )
+    return TreeLikeReport(True)
+
+
+@st.composite
+def prefix_systems(draw):
+    """Prefix ladders on w^2, w^2*2 and w^3 whose entries all lie below w^2,
+    one per omega-interval: each starts with a drawn part of one common
+    ladder and goes on with its own entries, so values coincide at equal
+    and at unequal indices, with and without agreement below."""
+    def entries(after, size):
+        if after >= 8:
+            return []
+        slots = sorted(draw(st.sets(st.integers(after + 1, 8), max_size=size)))
+        return [(a, draw(st.integers(1, 2))) for a in slots]
+
+    common = entries(-1, 5)
+    ladders = {}
+    for delta in (W2, W2_2, W3):
+        own = common[: draw(st.integers(0, len(common)))]
+        own += entries(own[-1][0] if own else -1, 4)
+        if not own:
+            own = [(draw(st.integers(0, 8)), 1)]
+        values = tuple(omega_power(1, a) + nat(j) if a else nat(j) for a, j in own)
+        ladders[delta] = prefix_special(delta, values)
+    return LadderSystem.build(omega_power(3) + nat(1), ladders)
+
+
+@given(prefix_systems())
+def test_tree_like_lookup_matches_the_nested_scan(sys):
+    assert is_tree_like(sys) == tree_like_scan(sys)
+
+
+@pytest.mark.parametrize("kind", ["index-mismatch", "prefix-disagreement"])
+def test_prefix_systems_reach_each_violation(kind):
+    sys = find(prefix_systems(), lambda s: (tree_like_scan(s).witness or "?")[-1] == kind)
+    assert is_tree_like(sys) == tree_like_scan(sys)
 
 
 def deepen(sl, blocks):

@@ -82,3 +82,18 @@ def test_limit_part():
     assert omega_power(2).limit_part == omega_power(2)
     assert nat(5).limit_part == ZERO
     assert plus_omega(OMEGA + nat(1)) == omega_power(1, 2)
+
+
+@given(ordinals())
+def test_ordinal_is_the_tuple_of_its_terms(a):
+    assert Ordinal(iter(a.terms)) == a == Ordinal(a.terms)
+    assert type(Ordinal(iter(a.terms))) is Ordinal
+    assert tuple(a) == a.terms and hash(a) == hash(a.terms)
+    assert bool(a) == (not a.is_zero)
+
+
+def test_ordinal_rejects_bad_terms_from_an_iterator():
+    with pytest.raises(ValueError):
+        Ordinal(iter([(1, 1), (2, 1)]))
+    with pytest.raises(ValueError):
+        Ordinal(t for t in [(0, 0)])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -9,8 +10,16 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddergroups.ladders import LadderSystem, make_block_special, make_simple_special
-from laddergroups.ordinals import nat, omega_power, parse_ordinal
+from laddergroups.ladders import (
+    BlockRule,
+    LadderSystem,
+    OmegaRange,
+    SpecialLadder,
+    make_block_special,
+    make_simple_special,
+    omega_range,
+)
+from laddergroups.ordinals import Ordinal, nat, omega_power, parse_ordinal
 from laddergroups.presentation import (
     ConfigError,
     FactorialPsi,
@@ -388,13 +397,30 @@ def test_generator_hash_is_fixed_at_construction_and_matches_equality():
     assert table == {xgen(beta): 2}
     assert ygen(W2, 1) == Generator("y", W2, 1) and hash(ygen(W2, 1)) == hash(Generator("y", W2, 1))
     assert ygen(W2, 1) != ygen(W2, 2) and ygen(W2, 1) != xgen(W2)
-    assert [f.name for f in dataclasses.fields(Generator)] == ["kind", "ordinal", "index"]
+    assert Generator._fields == ("kind", "ordinal", "index")
     assert (str(a), str(ygen(W2, 1)), str(WGEN)) == ("x[w*3+2]", "y[w^2*1,1]", "w")
     assert a.sort_key() == (0, beta.terms, 0)
     assert ygen(W2, 1).sort_key() == (1, W2.terms, 1) and WGEN.sort_key() == (2, (), 0)
     assert Generator("w") == WGEN and hash(Generator("w")) == hash(WGEN)
-    copy = pickle.loads(pickle.dumps(a))
-    assert copy == a and hash(copy) == hash(a)
+
+
+@dataclass(frozen=True)
+class _Holder:
+    g: Generator
+
+
+def test_value_types_round_trip_through_pickle_deepcopy_and_asdict():
+    sl = make_block_special(W2, 4)
+    rng = omega_range(sl)
+    for value in (xgen(sl.entries[1]), ygen(W2, 3), WGEN, rng, sl):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+    held = _Holder(ygen(W2, 3))
+    assert _Holder(**dataclasses.asdict(held)) == held
+    assert OmegaRange(**dataclasses.asdict(rng)) == rng
+    assert all(type(v) is Ordinal for v in dataclasses.asdict(rng)["blocks"])
+    fields = dataclasses.asdict(sl)
+    assert SpecialLadder(**{**fields, "rule": BlockRule(**fields["rule"])}) == sl
 
 
 # ---------------------------------------------------------------------------

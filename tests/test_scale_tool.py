@@ -4,8 +4,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = (("build_stage", "layer"), ("freeness", "layer"), ("obstruct", "e2e"),
-        ("roundtrip", "e2e"))
+ROWS = (("build_stage", "layer"), ("freeness", "layer"), ("transitive", "layer"),
+        ("obstruct", "e2e"), ("roundtrip", "e2e"))
 
 
 def _scale(*args):

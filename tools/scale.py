@@ -20,6 +20,11 @@ generators of ``bench/workloads.py`` next to this file, read-only, at seed
   each ladder) on the stage of two rule-backed ladders (``w^2``,
   ``w^2*2``, blocks of offsets (1, 2), alternating coefficients, factorial
   psi) at level ``w^2*2+1``;
+- ``transitive`` (layer): the library calls of the equiv-transitive job
+  (``bench/job.py``'s ``run_transitive``) on its seed-0 input at the depth:
+  the three stages, ``disjointify`` and the overlap checks, the two level
+  isomorphisms out of A, the inverse of A->B and the composite B->C, and
+  the four ``level_iso_verify`` calls, without serializing the reports;
 - ``obstruct`` (e2e): the splitting-deep obstruct scenario with
   ``zero_splits`` through ``cli.main``;
 - ``roundtrip`` (e2e): the marked-target extension and recovery scenario
@@ -49,14 +54,20 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROWS = {"build_stage": "layer", "freeness": "layer", "obstruct": "e2e", "roundtrip": "e2e"}
+ROWS = {"build_stage": "layer", "freeness": "layer", "transitive": "layer",
+        "obstruct": "e2e", "roundtrip": "e2e"}
 SEED = 0
 
 
-def _scenario(row: str, depth: int) -> dict:
+def _workloads():
     sys.path.insert(0, os.path.join(ROOT, "bench"))
-    import workloads as wl
+    import workloads
 
+    return workloads
+
+
+def _scenario(row: str, depth: int) -> dict:
+    wl = _workloads()
     if row == "obstruct":
         return wl._obstruct_scenario(wl._rng(SEED, "obstruct", 0), depth,
                                      wl.SIZES["full"]["obstruct_bounds"],
@@ -93,6 +104,13 @@ def measure(row: str, depth: int) -> float:
                 if not lg.freeness_basis(sg, T).ok:
                     raise RuntimeError(f"freeness basis of {T} at depth {depth} failed")
         return time.process_time() - t
+    if row == "transitive":
+        wl = _workloads()
+        spec = wl._transitive_spec(wl._rng(SEED, "transitive", depth), depth)
+        t = time.process_time()
+        if not _transitive(lg, spec):
+            raise RuntimeError(f"transitive certificate at depth {depth} failed")
+        return time.process_time() - t
     from laddergroups import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,6 +124,35 @@ def measure(row: str, depth: int) -> float:
     if code != 0:
         raise RuntimeError(f"{row} at depth {depth} exited {code}")
     return elapsed
+
+
+def _transitive(lg, spec: dict) -> bool:
+    """The library calls of bench/job.py's run_transitive on `spec`, without
+    serializing the reports: B and C certified equivalent through A."""
+    depth, alpha = spec["depth"], lg.parse_ordinal(spec["alpha"])
+    deltas = [lg.parse_ordinal(d) for d in spec["deltas"]]
+    sys_a = lg.LadderSystem.build(alpha, {d: lg.make_simple_special(d, depth) for d in deltas})
+    cfgs = {}
+    for name, comp in spec["companions"].items():
+        ladders, coeffs = {}, {}
+        for lit, sizes in comp["block_sizes"].items():
+            d = lg.parse_ordinal(lit)
+            ladders[d] = lg.companion_same_range(sys_a.ladder(d), tuple(sizes))
+            coeffs.update(((d, n), tuple(vec)) for n, vec in enumerate(comp["coeffs"][lit]))
+        system = lg.LadderSystem.build(alpha, ladders)
+        cfgs[name] = lg.GroupConfig(system, lg.FactorialPsi(), coeffs)
+    dis = lg.disjointify(sys_a)
+    overlaps = [lg.overlap_check(sys_a, cfgs[n].system, dis) for n in "BC"]
+    stage_b, stage_c = lg.build_matched_stages(cfgs["B"], cfgs["C"], alpha, depth)
+    stage_a = lg.build_stage(lg.GroupConfig.all_ones(sys_a), alpha, depth,
+                             extra_x=stage_b.x_indices)
+    ab = lg.level_iso_build(stage_a, stage_b, dis)
+    ac = lg.level_iso_build(stage_a, stage_c, dis)
+    reports = [lg.level_iso_verify(ab, stage_a, stage_b), lg.level_iso_verify(ac, stage_a, stage_c)]
+    ba = lg.invert_level_iso(ab, stage_a, stage_b)
+    reports.append(lg.level_iso_verify(ba, stage_b, stage_a))
+    reports.append(lg.level_iso_verify(lg.compose_maps(ac, ba), stage_b, stage_c))
+    return dis.certified and all(o.ok for o in overlaps) and all(r.ok for r in reports)
 
 
 def _fresh(src: str, row: str, depth: int) -> float:
