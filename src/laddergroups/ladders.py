@@ -2,7 +2,7 @@
 
 A ladder on a limit ordinal delta is a strictly increasing sequence of
 non-limit ordinals below delta, kept here as a finite explored prefix plus
-an optional closed-form rule that can evaluate any index.  A special ladder
+an optional closed-form rule that can produce any block.  A special ladder
 additionally carries breakpoints k_0 < k_1 < ... cutting the prefix into
 blocks; within a block all entries share the same "+ omega" value and the
 blocks are separated (head value + omega lies below the next head).
@@ -15,11 +15,12 @@ classic k_n = n and k_n = 2n examples on w^2 * m as well as deltas like w^3.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, count, cycle, islice
 
-from .ordinals import Ordinal, format_ordinal, omega_power, plus_omega
+from .ordinals import Ordinal, format_ordinal, nat, omega_power, plus_omega
 
 
 class LadderShapeError(ValueError):
@@ -61,34 +62,15 @@ class BlockRule:
                     "offsets must be strictly increasing positive integers"
                 )
 
-    @property
-    def period(self) -> int:
-        return len(self.offsets)
+    def block(self, n: int) -> tuple[Ordinal, ...]:
+        """The entries of block n, over its limit base + w^step_exp*(n+1)."""
+        limit = self.base + omega_power(self.step_exp, n + 1)
+        return tuple(limit + nat(j) for j in self.offsets[n % len(self.offsets)])
 
-    @property
-    def period_length(self) -> int:
-        return sum(len(b) for b in self.offsets)
-
-    def breakpoint(self, n: int) -> int:
-        full, rem = divmod(n, self.period)
-        head = sum(len(b) for b in self.offsets[:rem])
-        return full * self.period_length + head
-
-    def block_limit(self, n: int) -> Ordinal:
-        return self.base + omega_power(self.step_exp, n + 1)
-
-    def block_entry(self, n: int, l: int) -> Ordinal:
-        return self.block_limit(n) + Ordinal(((0, self.offsets[n % self.period][l]),))
-
-    def entry(self, i: int) -> Ordinal:
-        full, rem = divmod(i, self.period_length)
-        n = full * self.period
-        for block in self.offsets:
-            if rem < len(block):
-                return self.block_entry(n, rem)
-            rem -= len(block)
-            n += 1
-        raise AssertionError("unreachable")
+    def breakpoints(self, k: int) -> tuple[int, ...]:
+        """The first k breakpoints: the partial sums, from k_0 = 0, of the
+        cyclic block sizes."""
+        return tuple(islice(accumulate(cycle(map(len, self.offsets)), initial=0), k))
 
     def cofinal_delta(self) -> Ordinal:
         return self.base + omega_power(self.step_exp + 1)
@@ -127,10 +109,7 @@ class SpecialLadder:
         """Block index containing prefix position i (i >= k_0)."""
         if i < self.breakpoints[0] or i >= self.breakpoints[-1]:
             raise PrefixExhaustedError(f"position {i} outside explored blocks")
-        for n in range(self.block_count):
-            if i < self.breakpoints[n + 1]:
-                return n
-        raise AssertionError("unreachable")
+        return bisect_right(self.breakpoints, i) - 1
 
     @cached_property
     def report(self) -> "LadderReport":
@@ -198,12 +177,12 @@ def validate_special(sl: SpecialLadder) -> LadderReport:
                     f"{plus_omega(sl.head(n))} !< {sl.head(n + 1)}"
                 )
     if sl.rule is not None:
-        for i, e in enumerate(sl.entries):
-            if sl.rule.entry(i) != e:
+        stream = chain.from_iterable(map(sl.rule.block, count()))
+        for i, (e, r) in enumerate(zip(sl.entries, stream)):
+            if e != r:
                 errors.append(f"rule disagrees with prefix at {i}")
                 break
-        expect = tuple(sl.rule.breakpoint(n) for n in range(len(bps)))
-        if tuple(bps) != expect:
+        if tuple(bps) != sl.rule.breakpoints(len(bps)):
             errors.append("breakpoints disagree with rule block structure")
         if sl.rule.cofinal_delta() != sl.delta:
             errors.append(
@@ -245,10 +224,8 @@ def _rule_for(delta: Ordinal, offsets: tuple[tuple[int, ...], ...]) -> BlockRule
 def _from_rule(delta: Ordinal, rule: BlockRule, blocks: int) -> SpecialLadder:
     if blocks < 1:
         raise LadderShapeError("need at least one explored block")
-    top = rule.breakpoint(blocks)
-    entries = tuple(rule.entry(i) for i in range(top))
-    bps = tuple(rule.breakpoint(n) for n in range(blocks + 1))
-    return SpecialLadder(delta, entries, bps, rule)
+    entries = tuple(chain.from_iterable(map(rule.block, range(blocks))))
+    return SpecialLadder(delta, entries, rule.breakpoints(blocks + 1), rule)
 
 
 def make_simple_special(delta: Ordinal, depth: int) -> SpecialLadder:
@@ -308,8 +285,9 @@ def companion_same_range(
 def first_block_reaching(sl: SpecialLadder, threshold: Ordinal) -> int:
     """Least block index n with head(n) >= threshold.
 
-    Rule-backed ladders evaluate past the explored prefix; prefix-only
-    ladders raise once exhausted.
+    Rule-backed ladders that validate read the rule's blocks past the
+    explored prefix; prefix-only ladders raise once exhausted, and so do
+    invalid ones, whose rule need not approach delta.
     """
     if not threshold < sl.delta:
         raise LadderShapeError(f"threshold {threshold} not below delta {sl.delta}")
@@ -320,11 +298,9 @@ def first_block_reaching(sl: SpecialLadder, threshold: Ordinal) -> int:
         raise PrefixExhaustedError(
             f"prefix of ladder on {sl.delta} exhausted below threshold {threshold}"
         )
-    n = sl.block_count
-    while True:
-        if not sl.rule.block_entry(n, 0) < threshold:
-            return n
-        n += 1
+    if not sl.report.ok:
+        raise LadderInvalidError("; ".join(sl.report.errors))
+    return next(n for n in count(sl.block_count) if not sl.rule.block(n)[0] < threshold)
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,6 @@ class Generator(NamedTuple):
     ordinal: Ordinal | None = None
     index: int | None = None
 
-    def sort_key(self):
-        if self.kind == "x":
-            return (0, self.ordinal, 0)
-        if self.kind == "y":
-            return (1, self.ordinal, self.index)
-        return (2, (), 0)
-
     def __str__(self) -> str:
         if self.kind == "x":
             return f"x[{format_ordinal(self.ordinal)}]"
@@ -76,6 +69,16 @@ def ygen(delta: Ordinal, n: int = 0) -> Generator:
 WGEN = Generator("w")
 
 
+def basis_order(gens) -> list[Generator]:
+    """gens sorted in basis order: x generators by ordinal, then y
+    generators by (delta, n), then w.  Tuple order puts the kind "w" first,
+    so w moves from the front to the end."""
+    out = sorted(gens)
+    if out and out[0] == WGEN:
+        out.append(out.pop(0))
+    return out
+
+
 def generator_level(g: Generator) -> Ordinal:
     """Least filtration level admitting g: x[beta] enters once beta < level
     + omega, y[delta, n] once delta < level."""
@@ -95,7 +98,7 @@ class FreeElement:
     numerators over one positive denominator, in lowest terms: equal
     elements have equal numerators and denominators."""
 
-    __slots__ = ("_den", "_nums", "_hash")
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: dict[Generator, Rat] | None = None):
         # over the lcm of reduced denominators the numerators have gcd 1
@@ -103,7 +106,6 @@ class FreeElement:
         d = lcm(*[q.denominator for _, q in qs])
         self._den = d
         self._nums = {g: q.numerator * (d // q.denominator) for g, q in qs}
-        self._hash = None
 
     @classmethod
     def from_numerators(cls, d: int, nums: dict[Generator, int]) -> "FreeElement":
@@ -114,7 +116,7 @@ class FreeElement:
             d //= k
             nums = {g: n // k for g, n in nums.items()}
         out = cls.__new__(cls)
-        out._den, out._nums, out._hash = d, nums, None
+        out._den, out._nums = d, nums
         return out
 
     @classmethod
@@ -129,7 +131,7 @@ class FreeElement:
         return Fraction(self._nums.get(g, 0), self._den)
 
     def support(self) -> tuple[Generator, ...]:
-        return tuple(sorted(self._nums, key=Generator.sort_key))
+        return tuple(basis_order(self._nums))
 
     def items(self) -> list[tuple[Generator, Fraction]]:
         d = self._den
@@ -173,10 +175,7 @@ class FreeElement:
                 and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self._den, frozenset(self._nums.items())))
-        return h
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -254,7 +253,7 @@ class GeneratorMap:
     images: dict[Generator, FreeElement] = field(repr=False)
 
     def domain(self) -> tuple[Generator, ...]:
-        return tuple(sorted(self.images, key=Generator.sort_key))
+        return tuple(basis_order(self.images))
 
     def image_of(self, g: Generator) -> FreeElement:
         try:
@@ -270,7 +269,7 @@ class GeneratorMap:
         images = self.images
         missing = [g for g in nums if g not in images]
         if missing:
-            self.image_of(min(missing, key=Generator.sort_key))  # raises
+            self.image_of(basis_order(missing)[0])  # raises
         forms = [(n, images[g].integer_form()) for g, n in nums.items()]
         d_img = lcm(*[d_g for _, (d_g, _) in forms])
         out: dict[Generator, int] = {}
@@ -527,7 +526,7 @@ def rewrite_over_chains(
     """
     d, nums = e.integer_form()
     out: dict[Generator, int] = {}
-    for g in sorted(nums, key=Generator.sort_key):
+    for g in basis_order(nums):
         n = nums[g]
         if g.kind == "w":
             if not twisted:

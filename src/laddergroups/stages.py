@@ -24,6 +24,7 @@ from .presentation import (
     MembershipResult,
     ScopeError,
     WGEN,
+    basis_order,
     block_element,
     chain_relation,
     chain_table,
@@ -331,7 +332,7 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
             raise ScopeError(f"{g} outside stage scope")
     touched = sorted({g.ordinal for g in T if g.kind == "y"})
     if not touched:
-        basis = tuple(sorted(set(T), key=Generator.sort_key))
+        basis = tuple(basis_order(set(T)))
         return FreenessBasis(basis, 0, 0, basis, True, ())
     m = max(g.index for g in T if g.kind == "y")
     for g in T:
@@ -356,8 +357,8 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
         basis.add(ygen(d, mstar))
         basis.update(xgen(b) for b in sl.entries[: sl.k(m + 1)])
     problems = []
-    basis_sorted = tuple(sorted(basis, key=Generator.sort_key))
-    for g in sorted(closure, key=Generator.sort_key):
+    basis_sorted = tuple(basis_order(basis))
+    for g in basis_order(closure):
         coords = sg.rewrite(sg.realize(g), mstar)
         den, nums = coords.integer_form()
         for key in coords.support():
@@ -373,7 +374,7 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
         basis_sorted,
         m,
         mstar,
-        tuple(sorted(closure, key=Generator.sort_key)),
+        tuple(basis_order(closure)),
         not problems,
         tuple(problems),
     )

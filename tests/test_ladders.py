@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import find, given, strategies as st
 
 from laddergroups import ladders
 from laddergroups.ladders import (
+    BlockRule,
     LadderInvalidError,
     LadderShapeError,
     LadderSystem,
@@ -19,7 +26,9 @@ from laddergroups.ladders import (
     validate_special,
     _from_rule,
 )
-from laddergroups.ordinals import format_ordinal, nat, omega_power, parse_ordinal, plus_omega
+from laddergroups.ordinals import (
+    Ordinal, format_ordinal, nat, omega_power, parse_ordinal, plus_omega,
+)
 
 W2 = omega_power(2)
 W2_2 = omega_power(2, 2)
@@ -123,6 +132,34 @@ def test_first_block_reaching():
 def test_first_block_reaching_uses_rule_beyond_prefix():
     eta = make_simple_special(W2, 2)
     assert first_block_reaching(eta, parse_ordinal("w*40")) == 39
+
+
+REACHING_PROBE = """
+import time
+from laddergroups.ladders import LadderInvalidError, SpecialLadder, first_block_reaching
+from laddergroups.ladders import make_simple_special
+from laddergroups.ordinals import nat, omega_power
+
+eta = make_simple_special(omega_power(2), 4)
+sl = SpecialLadder(omega_power(3), eta.entries, eta.breakpoints, eta.rule)
+start = time.perf_counter()
+try:
+    first_block_reaching(sl, omega_power(2) + nat(1))
+except LadderInvalidError as exc:
+    print(exc)
+print(time.perf_counter() - start)
+"""
+
+
+def test_first_block_reaching_rejects_an_invalid_rule_past_the_prefix():
+    # a rule cofinal in w^2 never reaches w^2+1, so the search must not start;
+    # the child process keeps a hang from stalling the suite
+    src = str(Path(ladders.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", REACHING_PROBE], capture_output=True,
+                          text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    message, seconds = proc.stdout.splitlines()
+    assert message == "rule is cofinal in w^2*1, not in w^3*1" and float(seconds) < 1
 
 
 def test_first_block_reaching_prefix_exhaustion():
@@ -294,3 +331,75 @@ def test_invalid_ladder_keeps_raising_from_its_cached_report():
             omega_range(bad)
         with pytest.raises(LadderInvalidError, match="not strictly increasing"):
             companion_same_range(bad, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The per-entry rule evaluation that block rules replaced, kept as the oracle
+# of their blocks and of the rule clause of validate_special.
+
+
+def rule_entry(rule, i):
+    """Entry i of the rule, its block found from the flat index."""
+    period_length = sum(len(b) for b in rule.offsets)
+    full, rem = divmod(i, period_length)
+    n = full * len(rule.offsets)
+    for block in rule.offsets:
+        if rem < len(block):
+            return rule.base + omega_power(rule.step_exp, n + 1) + Ordinal(((0, block[rem]),))
+        rem -= len(block)
+        n += 1
+    raise AssertionError("unreachable")
+
+
+def rule_breakpoint(rule, n):
+    full, rem = divmod(n, len(rule.offsets))
+    head = sum(len(b) for b in rule.offsets[:rem])
+    return full * sum(len(b) for b in rule.offsets) + head
+
+
+def validate_by_entries(sl):
+    """validate_special's errors, the rule clause checked entry by entry."""
+    errors = list(validate_special(replace(sl, rule=None)).errors)
+    for i, e in enumerate(sl.entries):
+        if rule_entry(sl.rule, i) != e:
+            errors.append(f"rule disagrees with prefix at {i}")
+            break
+    if tuple(sl.breakpoints) != tuple(rule_breakpoint(sl.rule, n)
+                                      for n in range(len(sl.breakpoints))):
+        errors.append("breakpoints disagree with rule block structure")
+    if sl.rule.cofinal_delta() != sl.delta:
+        errors.append(f"rule is cofinal in {sl.rule.cofinal_delta()}, not in {sl.delta}")
+    return tuple(errors)
+
+
+@st.composite
+def rule_ladders(draw):
+    """A rule over a random base, step exponent and offset tuples, explored
+    to a random number of blocks."""
+    terms = draw(st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=2))
+    base = Ordinal(sorted(terms.items(), reverse=True))
+    offsets = draw(st.lists(st.sets(st.integers(1, 5), min_size=1, max_size=3),
+                            min_size=1, max_size=3))
+    rule = BlockRule(base, draw(st.integers(1, 3)), tuple(tuple(sorted(b)) for b in offsets))
+    return rule, draw(st.integers(1, 6))
+
+
+@given(rule_ladders(), st.data())
+def test_rule_blocks_match_the_per_entry_oracle(drawn, data):
+    rule, blocks = drawn
+    sl = _from_rule(rule.cofinal_delta(), rule, blocks)
+    top = rule_breakpoint(rule, blocks)
+    assert sl.entries == tuple(rule_entry(rule, i) for i in range(top))
+    assert sl.breakpoints == tuple(rule_breakpoint(rule, n) for n in range(blocks + 1))
+    assert validate_special(sl).ok and validate_by_entries(sl) == ()
+    # change one entry or one breakpoint of the prefix
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, top - 1))
+        new = data.draw(st.sampled_from((sl.entries[i] + nat(1), sl.entries[0], nat(i + 1),
+                                         rule.base + omega_power(rule.step_exp, i + 2))))
+        changed = replace(sl, entries=sl.entries[:i] + (new,) + sl.entries[i + 1:])
+    else:
+        n = data.draw(st.integers(0, blocks))
+        k = sl.breakpoints[n] + data.draw(st.sampled_from((-1, 1, 2)))
+        changed = replace(sl, breakpoints=sl.breakpoints[:n] + (k,) + sl.breakpoints[n + 1:])
+    assert validate_special(changed).errors == validate_by_entries(changed)

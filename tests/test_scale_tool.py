@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = (("build_stage", "layer"), ("freeness", "layer"), ("transitive", "layer"),
+ROWS = (("ladders", "layer"), ("build_stage", "layer"), ("freeness", "layer"), ("transitive", "layer"),
         ("obstruct", "e2e"), ("roundtrip", "e2e"))
 
 

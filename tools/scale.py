@@ -11,6 +11,9 @@ the host's load falls on both sides alike.  The inputs come from the
 generators of ``bench/workloads.py`` next to this file, read-only, at seed
 0.  Rows, each measured at every depth:
 
+- ``ladders`` (layer): the three rule-backed ladders of the
+  ``build_stage`` row built from scratch at the depth, then
+  ``LadderSystem.build``, which validates each, and ``disjointify``;
 - ``build_stage`` (layer): a warm build of the stage of three rule-backed
   ladders (``w^2``, ``w^2*2``, ``w^3``, blocks of offsets (1, 2), unit
   coefficients, factorial psi) at level ``w^3+1``;
@@ -54,8 +57,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROWS = {"build_stage": "layer", "freeness": "layer", "transitive": "layer",
-        "obstruct": "e2e", "roundtrip": "e2e"}
+ROWS = {"ladders": "layer", "build_stage": "layer", "freeness": "layer",
+        "transitive": "layer", "obstruct": "e2e", "roundtrip": "e2e"}
 SEED = 0
 
 
@@ -80,11 +83,16 @@ def measure(row: str, depth: int) -> float:
     laddergroups must be importable."""
     import laddergroups as lg
 
-    if row == "build_stage":
+    if row in ("ladders", "build_stage"):
         alpha = lg.parse_ordinal("w^3+1")
-        ladders = {d: lg.make_block_special(d, depth)
-                   for d in map(lg.parse_ordinal, ("w^2", "w^2*2", "w^3"))}
-        cfg = lg.GroupConfig.all_ones(lg.LadderSystem.build(alpha, ladders))
+        deltas = tuple(map(lg.parse_ordinal, ("w^2", "w^2*2", "w^3")))
+        t = time.process_time()
+        system = lg.LadderSystem.build(alpha, {d: lg.make_block_special(d, depth) for d in deltas})
+        if row == "ladders":
+            if not lg.disjointify(system).certified:
+                raise RuntimeError(f"ladder tails at depth {depth} are not disjoint")
+            return time.process_time() - t
+        cfg = lg.GroupConfig.all_ones(system)
         lg.build_stage(cfg, alpha, depth)  # warm
         t = time.process_time()
         lg.build_stage(cfg, alpha, depth)
