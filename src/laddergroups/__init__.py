@@ -3,7 +3,8 @@
 Construction of the groups, their filtration and separability projections,
 level-preserving isomorphisms between range-matched systems, uniformization
 machinery, and the finite-stage parity splitting obstruction.  Everything is
-exact: ordinals in Cantor normal form, rational coefficients as fractions.
+exact: ordinals in Cantor normal form, and rational coefficients as integer
+numerators over one denominator per element or basis matrix.
 """
 
 from .equivalence import (

@@ -250,28 +250,29 @@ def level_iso_verify(
     hom = verify_hom(gmap, src.formal_relations())
     whole = hom.ok and set(gmap.images) == set(src.presentation_generators())
     try:
-        src_keys, dst_keys, matrix = basis_matrix(gmap, src, dst)
-        integral = all(q.denominator == 1 for row in matrix for q in row.values())
+        src_keys, dst_keys, den, matrix = basis_matrix(gmap, src, dst)
+        integral = den == 1
         in_group = integral if whole else all(
             dst.membership(gmap.image_of(g)).in_group for g in gmap.domain()
         )
     except ScopeError:
         bases = (tuple(map(str, sg.stage_basis())) for sg in (src, dst))
         return LevelIsoReport(hom.ok, False, "0", False, (), *bases, (), False)
-    det = gauss_jordan(matrix, len(dst_keys))[0]
+    n = len(dst_keys)
+    det = gauss_jordan(matrix, range(n))[0]
     inverse_ok = integral and abs(det) == 1
-    level_checks = _level_checks(src, dst, src_keys, dst_keys, matrix)
+    level_checks = _level_checks(src, dst, src_keys, dst_keys, den, matrix)
     ok = hom.ok and in_group and inverse_ok and all(passed for _, passed in level_checks)
     return LevelIsoReport(
         hom.ok,
         in_group,
-        str(det),
+        str(Fraction(det, den**n)),
         inverse_ok,
         level_checks,
         tuple(str(k) for k in src_keys),
         tuple(str(k) for k in dst_keys),
         tuple(
-            tuple(str(row[j]) if j in row else "0" for j in range(len(dst_keys)))
+            tuple(str(Fraction(row[j], den)) if j in row else "0" for j in range(n))
             for row in matrix
         ),
         ok,
@@ -283,17 +284,20 @@ def _level_checks(
     dst: StageGroup,
     src_keys: tuple[Generator, ...],
     dst_keys: tuple[Generator, ...],
-    matrix: list[dict[int, Fraction]],
+    den: int,
+    matrix: list[dict[int, int]],
 ) -> tuple[tuple[str, bool], ...]:
     """The verdict at every filtration level mu, ascending: the rows of the
     source keys admitted at mu must lie in the destination columns admitted
-    at mu and form a block of determinant +-1 there.
+    at mu and form a block of determinant +-1 there, that is of |det| equal
+    to den ** len(rows) over the integer rows.
 
     Levels are walked once over the rows and columns ordered by admission
     level.  When the previous level's block M' was contained and square,
     the new rows vanish outside the columns admitted up to now and the old
     rows vanish on the new columns, so M = [[M', 0], [C, D]] and only the
-    new diagonal block D is eliminated: |det M| = |det M'| * |det D|.
+    new diagonal block D is eliminated: |det M| = |det M'| * |det D|.  A
+    block's rows go to the kernel whole; entries off its columns ride along.
     """
     row_level = [generator_level(k) for k in src_keys]
     levels = sorted({*row_level, src.alpha})
@@ -324,20 +328,11 @@ def _level_checks(
         if reach > s or len(rows) != len(cols):
             det = None
         elif det is None:
-            det = abs(_block_det(matrix, rows, cols))
+            det = abs(gauss_jordan([matrix[i] for i in rows], cols)[0])
         else:
-            det *= abs(_block_det(matrix, new_rows[s], new_cols[s]))
-        checks.append((format_ordinal(mu), det == 1))
+            det *= abs(gauss_jordan([matrix[i] for i in new_rows[s]], new_cols[s])[0])
+        checks.append((format_ordinal(mu), det == den ** len(rows)))
     return tuple(checks)
-
-
-def _block_det(
-    matrix: list[dict[int, Fraction]], rows: list[int], cols: list[int]
-) -> Fraction:
-    """Determinant of the block of the given rows on the given columns."""
-    pos = {j: c for c, j in enumerate(cols)}
-    sub = [{pos[j]: q for j, q in matrix[i].items() if j in pos} for i in rows]
-    return gauss_jordan(sub, len(cols))[0]
 
 
 def invert_level_iso(
@@ -352,15 +347,16 @@ def invert_level_iso(
     is that key's image; the destination chain symbols below N follow from
     the destination relations.
     """
-    src_keys, dst_keys, matrix = basis_matrix(gmap, src, dst)
+    src_keys, dst_keys, den, matrix = basis_matrix(gmap, src, dst)
     n = len(dst_keys)
     det, _, reduced = gauss_jordan(
-        [{**row, n + i: Fraction(1)} for i, row in enumerate(matrix)], n
+        [{**row, n + i: 1} for i, row in enumerate(matrix)], range(n)
     )
     if not det:
         raise ScopeError("basis matrix is singular or not square")
     realize = GeneratorMap({key: src.realize(key) for key in src_keys})
     return dst.hom_from_basis({
-        key: realize.apply(FreeElement({src_keys[j - n]: v for j, v in row.items() if j >= n}))
+        key: realize.apply(FreeElement.from_numerators(
+            abs(det), {src_keys[j - n]: den * v for j, v in row.items() if j >= n}))
         for key, row in zip(dst_keys, reduced)
     })

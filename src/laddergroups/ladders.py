@@ -285,9 +285,15 @@ def companion_same_range(
 def first_block_reaching(sl: SpecialLadder, threshold: Ordinal) -> int:
     """Least block index n with head(n) >= threshold.
 
-    Rule-backed ladders that validate read the rule's blocks past the
+    Rule-backed ladders that validate read n off the threshold past the
     explored prefix; prefix-only ladders raise once exhausted, and so do
     invalid ones, whose rule need not approach delta.
+
+    Past the prefix, the limit of block n is lead + w^e*(b+n), with lead the
+    terms above w^e of the limit of block 0 and b its coefficient of w^e.  A
+    threshold below delta = lead + w^(e+1) either lies below lead, and block
+    0 reaches it, or is lead + w^e*c + smaller terms: block max(c - b, 0)
+    reaches it unless its head falls short, and then the next one does.
     """
     if not threshold < sl.delta:
         raise LadderShapeError(f"threshold {threshold} not below delta {sl.delta}")
@@ -300,7 +306,11 @@ def first_block_reaching(sl: SpecialLadder, threshold: Ordinal) -> int:
         )
     if not sl.report.ok:
         raise LadderInvalidError("; ".join(sl.report.errors))
-    return next(n for n in count(sl.block_count) if not sl.rule.block(n)[0] < threshold)
+    limit = sl.rule.base + omega_power(sl.rule.step_exp)
+    lead, (e, b) = limit[:-1], limit[-1]
+    c = dict(threshold[len(lead):]).get(e, 0) if threshold[:len(lead)] == lead else 0
+    n = max(c - b, 0)
+    return n + (sl.rule.block(n)[0] < threshold)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ block(n), which is the group's only family of relations).
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -199,44 +200,51 @@ class FreeElement:
 
 
 def gauss_jordan(
-    rows: list[dict[int, Fraction]], n: int
-) -> tuple[Fraction, int, list[dict[int, Fraction]]]:
-    """Gauss-Jordan elimination over the rationals on sparse rows.
+    rows: list[dict[Hashable, int]], cols: Sequence[Hashable]
+) -> tuple[int, int, list[dict[Hashable, int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on sparse integer
+    rows.
 
-    Each row maps a column index to its nonzero entry.  Columns 0..n-1 are
-    the pivot columns; later columns ride along, so reducing the rows of
-    [M | I] leaves the inverse of a nonsingular M in the ride-along block.
-    Returns the determinant of the leading square block (0 unless there are
-    exactly n rows and every pivot column has a pivot), the rank, and the
-    reduced rows: the pivot rows first, in column order and scaled to pivot
-    1, then the rest.  The input rows are not modified.
+    Each row maps a column key to its nonzero entry.  The keys in cols are
+    the pivot columns, in pivot order; other keys ride along.  Each step
+    with pivot p sets every other row to (p*row - f*prow) // prev, f its
+    entry in the pivot column and prev the previous pivot (1 at first);
+    every division is exact, as each entry stays a minor of the input.  A
+    negative pivot row is negated, so every pivot is positive and each
+    pivot row ends holding the last pivot p on its column: p * M^-1 is left
+    in the ride-along block of [M | I].  Returns the determinant of the
+    square matrix of the columns cols, in that order (0 unless there are
+    exactly len(cols) rows and every column has a pivot, when p = |det|),
+    the rank, and the reduced rows: the pivot rows first, in column order,
+    then the rest.  The input rows are not modified.
     """
-    m = [dict(row) for row in rows]
-    det = Fraction(1)
-    rank = 0
-    for col in range(n):
+    m = list(rows)
+    sign, prev, rank = 1, 1, 0
+    for col in cols:
         pivot = next((r for r in range(rank, len(m)) if col in m[r]), None)
         if pivot is None:
-            det = Fraction(0)
             continue
         if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        p = m[rank][col]
-        det *= p
-        prow = m[rank] = {j: v / p for j, v in m[rank].items()}
+            m[rank], m[pivot], sign = m[pivot], m[rank], -sign
+        prow = m[rank]
+        p = prow[col]
+        if p < 0:
+            p, sign = -p, -sign
+            prow = m[rank] = {j: -v for j, v in prow.items()}
         for r, row in enumerate(m):
-            if r != rank and col in row:
-                factor = row[col]
+            if r == rank:
+                continue
+            f = row.get(col)
+            if f:
+                out = {j: p * v for j, v in row.items()}
                 for j, v in prow.items():
-                    x = row.get(j, 0) - factor * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+                    out[j] = out.get(j, 0) - f * v
+                m[r] = {j: v // prev for j, v in out.items() if v}
+            elif p != prev:
+                m[r] = {j: p * v // prev for j, v in row.items()}
+        prev = p
         rank += 1
-    if len(m) != n:
-        det = Fraction(0)
+    det = sign * prev if rank == len(cols) == len(m) else 0
     return det, rank, m
 
 

@@ -635,8 +635,8 @@ def build_twisted(
     # The collapse is the identity matrix on the non-twist basis keys and
     # kills the twist generator, so once that diagonal shape is confirmed
     # the kernel is exactly the twist line and every target key is hit.
-    src_keys, dst_keys, matrix = basis_matrix(collapse, twisted, untwisted)
-    diagonal = all(
+    src_keys, dst_keys, den, matrix = basis_matrix(collapse, twisted, untwisted)
+    diagonal = den == 1 and all(
         {dst_keys[j]: q for j, q in row.items()} == ({} if key.kind == "w" else {key: 1})
         for key, row in zip(src_keys, matrix)
     )

@@ -11,8 +11,8 @@ projections and freeness certificates finite computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .ordinals import Ordinal, format_ordinal, plus_omega
 from .presentation import (
@@ -181,18 +181,18 @@ def filtration_subgroup(sg: StageGroup, mu: Ordinal) -> tuple[Generator, ...]:
 
 def basis_matrix(
     gmap: GeneratorMap, src: StageGroup, dst: StageGroup
-) -> tuple[tuple[Generator, ...], tuple[Generator, ...], list[dict[int, Fraction]]]:
+) -> tuple[tuple[Generator, ...], tuple[Generator, ...], int, list[dict[int, int]]]:
     """The source and destination stage bases and the sparse basis matrix of
-    a map from src to dst: row i maps column indices to the nonzero
-    destination coordinates of the image of source basis key i."""
+    a map from src to dst, as integer rows over one denominator den, the
+    lcm of the coordinates' own: row i maps column indices to den times the
+    nonzero destination coordinates of the image of source basis key i."""
     src_keys = src.stage_basis()
     dst_keys = dst.stage_basis()
     index = {k: i for i, k in enumerate(dst_keys)}
-    matrix = []
-    for key in src_keys:
-        d, nums = dst.rewrite(gmap.image_of(key)).integer_form()
-        matrix.append({index[k]: Fraction(n, d) for k, n in nums.items()})
-    return src_keys, dst_keys, matrix
+    forms = [dst.rewrite(gmap.image_of(key)).integer_form() for key in src_keys]
+    den = lcm(*(d for d, _ in forms))
+    rows = [{index[k]: n * (den // d) for k, n in nums.items()} for d, nums in forms]
+    return src_keys, dst_keys, den, rows
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +381,7 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
 
 
 def _rank(sg: StageGroup, keys: tuple[Generator, ...], depth: int) -> int:
-    """Rank over the rationals of the concrete vectors behind the keys."""
-    index: dict[Generator, int] = {}
-    rows = []
-    for g in keys:
-        d, nums = sg.rewrite(sg.realize(g), depth).integer_form()
-        rows.append({index.setdefault(k, len(index)): Fraction(n, d) for k, n in nums.items()})
-    return gauss_jordan(rows, len(index))[1]
+    """Rank over the rationals of the concrete vectors behind the keys, read
+    off their integer numerators."""
+    rows = [sg.rewrite(sg.realize(g), depth).integer_form()[1] for g in keys]
+    return gauss_jordan(rows, basis_order({k for row in rows for k in row}))[1]

@@ -369,9 +369,13 @@ def test_level_iso_build_matches_the_backfill_oracle(seed, depth, data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**16), st.integers(3, 5))
-def test_sparse_inverse_matches_dense_oracle(seed, depth):
+@given(st.integers(0, 2**16), st.integers(3, 5),
+       st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3)]))
+def test_sparse_inverse_matches_dense_oracle(seed, depth, factor):
+    # a factor other than 1 scales every image, as the "half" tamper does: the
+    # basis matrix has denominator 2 or 3, or a determinant other than +-1
     gmap, src, dst = seeded_iso(seed, depth)
+    gmap = GeneratorMap({g: e.scale(factor) for g, e in gmap.images.items()})
     fast = invert_level_iso(gmap, src, dst)
     slow = dense_invert_level_iso(gmap, src, dst)
     assert set(fast.images) == set(slow.images) == set(dst.presentation_generators())
@@ -501,39 +505,56 @@ def dense_level_iso_verify(gmap, src, dst):
 
 @st.composite
 def small_matrices(draw):
+    """An integer matrix, its column count n, and an order of its columns."""
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    entry = st.one_of(st.just(0), st.integers(-3, 3))
-    return [[Fraction(draw(entry)) for _ in range(cols)] for _ in range(rows)], cols
-
-
-F = Fraction
+    entry = st.one_of(st.just(0), st.integers(-50, 50))
+    matrix = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return matrix, cols, tuple(draw(st.permutations(range(cols))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
-@example(([], 0))
-@example(([], 3))
-@example(([[], []], 0))
-@example(([[F(1), F(2)], [F(2), F(4)]], 2))
-@example(([[F(0), F(1)], [F(1), F(0)]], 2))
-@example(([[F(1), F(0), F(2)], [F(0), F(1), F(3)]], 3))
-@example(([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]], 2))
+@example(([], 0, ()))
+@example(([], 3, (0, 1, 2)))
+@example(([[], []], 0, ()))
+@example(([[1, 2], [2, 4]], 2, (0, 1)))
+@example(([[0, 1], [1, 0]], 2, (0, 1)))
+@example(([[1, 0, 2], [0, 1, 3]], 3, (0, 1, 2)))
+@example(([[1, 2], [3, 4], [5, 6]], 2, (0, 1)))
+@example(([[2, 3], [4, 5]], 2, (0, 1)))
+@example(([[-3, 1], [2, 5]], 2, (1, 0)))
+@example(([[6, 4, 2], [3, 5, 7], [2, 9, 4]], 3, (0, 1, 2)))
+@example(([[6, 4, 2], [3, 5, 7], [2, 9, 4]], 3, (2, 0, 1)))
+@example(([[12, -30, 0, 7], [0, 18, 45, -2], [4, 0, -9, 21], [8, 10, 3, 0]], 4, (3, 1, 0, 2)))
 def test_gauss_jordan_matches_dense_oracles(case):
-    matrix, n = case
-    rows = [{j: q for j, q in enumerate(row) if q} for row in matrix]
+    matrix, n, order = case
+    dense = [[Fraction(v) for v in row] for row in matrix]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     before = [dict(row) for row in rows]
-    det, rank, reduced = gauss_jordan(rows, n)
+    det, rank, reduced = gauss_jordan(rows, order)
     assert rows == before
-    assert rank == pivot_list_rank(rows)
-    assert det == (dense_determinant(matrix) if len(matrix) == n else 0)
-    assert [min(row) for row in reduced[:rank]] == sorted(min(row) for row in reduced[:rank])
-    assert all(row[min(row)] == 1 for row in reduced[:rank])
-    assert not any(j < n for row in reduced[rank:] for j in row)
+    # pivot rows first, in the given column order, each holding one p > 0
+    pivots = [next(j for j in order if j in row) for row in reduced[:rank]]
+    assert pivots == sorted(pivots, key=order.index)
+    assert len({row[j] for row, j in zip(reduced, pivots)}) <= 1
+    p = reduced[0][pivots[0]] if rank else 1
+    assert p > 0 and (not det or p == abs(det))
+    assert not any(j in row for row, pc in zip(reduced, pivots) for j in pivots if j != pc)
+    assert not any(j in row for row in reduced[rank:] for j in order)
+    # reduced / p spans the rows' space, and det and rank match the oracles
+    over_p = [{j: Fraction(v, p) for j, v in row.items()} for row in reduced]
+    fractions = [{j: Fraction(v) for j, v in row.items()} for row in rows]
+    assert rank == pivot_list_rank(fractions) == pivot_list_rank(fractions + over_p)
+    permuted = [[row[c] for c in order] for row in dense]
+    assert det == (dense_determinant(permuted) if len(matrix) == n else 0)
     if det:
-        augmented = [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)]
-        inv = [{j - n: v for j, v in row.items() if j >= n}
-               for row in gauss_jordan(augmented, n)[2]]
-        assert [[row.get(j, 0) for j in range(n)] for row in inv] == _dense_inverse(matrix)
+        # ride-along keys that are not column indices: p * M^-1 beside the pivots
+        augmented = [{**row, ("id", i): 1} for i, row in enumerate(rows)]
+        det2, _, reduced2 = gauss_jordan(augmented, order)
+        by_pivot = {next(j for j in order if j in row): row for row in reduced2}
+        inverse = [[Fraction(by_pivot[c].get(("id", i), 0), p) for i in range(n)]
+                   for c in range(n)]
+        assert det2 == det and inverse == _dense_inverse(dense)
 
 
 @settings(max_examples=25, deadline=None)
@@ -581,9 +602,9 @@ def test_level_checks_eliminate_only_the_new_diagonal_blocks(monkeypatch, seed):
     gmap, src, dst = seeded_iso(seed, 5)
     sizes = []
 
-    def recording(rows, n):
-        sizes.append(n)
-        return gauss_jordan(rows, n)
+    def recording(rows, cols):
+        sizes.append(len(cols))
+        return gauss_jordan(rows, cols)
 
     monkeypatch.setattr(equivalence, "gauss_jordan", recording)
     rep = level_iso_verify(gmap, src, dst)

@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,6 +162,13 @@ def test_first_block_reaching_rejects_an_invalid_rule_past_the_prefix():
     assert proc.returncode == 0, proc.stderr
     message, seconds = proc.stdout.splitlines()
     assert message == "rule is cofinal in w^2*1, not in w^3*1" and float(seconds) < 1
+
+
+def test_first_block_reaching_reads_a_far_block_off_the_threshold():
+    eta = make_simple_special(W2, 2)
+    start = time.perf_counter()
+    assert first_block_reaching(eta, omega_power(1, 10**9)) == 999_999_999
+    assert time.perf_counter() - start < 1
 
 
 def test_first_block_reaching_prefix_exhaustion():
@@ -403,3 +412,35 @@ def test_rule_blocks_match_the_per_entry_oracle(drawn, data):
         k = sl.breakpoints[n] + data.draw(st.sampled_from((-1, 1, 2)))
         changed = replace(sl, breakpoints=sl.breakpoints[:n] + (k,) + sl.breakpoints[n + 1:])
     assert validate_special(changed).errors == validate_by_entries(changed)
+
+
+# ---------------------------------------------------------------------------
+# The walk past the prefix that the closed form of first_block_reaching
+# replaced, kept as its oracle.
+
+
+def walk_first_block_reaching(sl, threshold):
+    """The least block whose head reaches the threshold, found by trying
+    the prefix's blocks and then the rule's, one at a time."""
+    for n in range(sl.block_count):
+        if not sl.head(n) < threshold:
+            return n
+    return next(n for n in itertools.count(sl.block_count)
+                if not sl.rule.block(n)[0] < threshold)
+
+
+def ordinals_up_to(exp):
+    """Ordinals with up to three terms of exponent at most exp."""
+    terms = st.dictionaries(st.integers(0, exp), st.integers(1, 40), max_size=3)
+    return terms.map(lambda t: Ordinal(sorted(t.items(), reverse=True)))
+
+
+@given(rule_ladders(), st.data())
+def test_first_block_reaching_matches_the_walk(drawn, data):
+    rule, blocks = drawn
+    sl = _from_rule(rule.cofinal_delta(), rule, blocks)
+    # any ordinal below delta, or one past the rule's base, near the heads
+    threshold = data.draw(st.one_of(
+        ordinals_up_to(sl.delta[0][0]).filter(lambda t: t < sl.delta),
+        ordinals_up_to(rule.step_exp).map(lambda lower: rule.base + lower)))
+    assert first_block_reaching(sl, threshold) == walk_first_block_reaching(sl, threshold)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = (("ladders", "layer"), ("build_stage", "layer"), ("freeness", "layer"), ("transitive", "layer"),
-        ("obstruct", "e2e"), ("roundtrip", "e2e"))
+        ("verify", "layer"), ("invert", "layer"), ("obstruct", "e2e"), ("roundtrip", "e2e"))
 
 
 def _scale(*args):

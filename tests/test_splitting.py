@@ -19,7 +19,8 @@ from laddergroups.equivalence import disjointify
 from laddergroups.ladders import LadderSystem, make_block_special, prefix_special
 from laddergroups.ordinals import format_ordinal, omega_power, parse_ordinal
 from laddergroups.presentation import (
-    ConfigError, FreeElement, GroupConfig, ScopeError, TablePsi, WGEN, xgen, ygen,
+    ConfigError, FreeElement, GeneratorMap, GroupConfig, ScopeError, TablePsi, WGEN, xgen,
+    ygen,
 )
 from laddergroups.splitting import (
     Coloring,
@@ -563,6 +564,24 @@ def test_exactness_at_stage():
     ts, ex = build_twisted(cfg, c, ALPHA, 5)
     assert ex.relations_killed and ex.kernel_is_twist_line
     assert ex.kernel_pure and ex.surjective
+
+
+def test_exactness_sees_a_collapse_scaled_by_one_half(monkeypatch):
+    # halved images give the unit rows of the identity over denominator 2:
+    # not the diagonal shape, although the integer rows alone look like it
+    sys = paired_system(5, (W2, W2_2))
+    cfg = GroupConfig.alternating(sys)
+    c = Coloring({W2: (0, 1, 1, 0, 1), W2_2: (1, 1, 0, 0, 1)}, 2)
+    real = splitting.basis_matrix
+
+    def halved(gmap, src, dst):
+        half = {g: e.scale(Fraction(1, 2)) for g, e in gmap.images.items()}
+        return real(GeneratorMap(half), src, dst)
+
+    monkeypatch.setattr(splitting, "basis_matrix", halved)
+    _, ex = build_twisted(cfg, c, ALPHA, 5)
+    assert ex.relations_killed and ex.kernel_pure
+    assert not ex.kernel_is_twist_line and not ex.surjective
 
 
 def test_annihilator_examples():

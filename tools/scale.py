@@ -28,6 +28,10 @@ generators of ``bench/workloads.py`` next to this file, read-only, at seed
   the three stages, ``disjointify`` and the overlap checks, the two level
   isomorphisms out of A, the inverse of A->B and the composite B->C, and
   the four ``level_iso_verify`` calls, without serializing the reports;
+- ``verify`` (layer): the four ``level_iso_verify`` calls of the
+  ``transitive`` row, timed alone within it;
+- ``invert`` (layer): the one ``invert_level_iso`` call of the
+  ``transitive`` row, timed alone within it;
 - ``obstruct`` (e2e): the splitting-deep obstruct scenario with
   ``zero_splits`` through ``cli.main``;
 - ``roundtrip`` (e2e): the marked-target extension and recovery scenario
@@ -58,7 +62,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS = {"ladders": "layer", "build_stage": "layer", "freeness": "layer",
-        "transitive": "layer", "obstruct": "e2e", "roundtrip": "e2e"}
+        "transitive": "layer", "verify": "layer", "invert": "layer",
+        "obstruct": "e2e", "roundtrip": "e2e"}
 SEED = 0
 
 
@@ -112,13 +117,14 @@ def measure(row: str, depth: int) -> float:
                 if not lg.freeness_basis(sg, T).ok:
                     raise RuntimeError(f"freeness basis of {T} at depth {depth} failed")
         return time.process_time() - t
-    if row == "transitive":
+    if row in ("transitive", "verify", "invert"):
         wl = _workloads()
         spec = wl._transitive_spec(wl._rng(SEED, "transitive", depth), depth)
+        phases = {"verify": 0.0, "invert": 0.0}
         t = time.process_time()
-        if not _transitive(lg, spec):
+        if not _transitive(lg, spec, phases):
             raise RuntimeError(f"transitive certificate at depth {depth} failed")
-        return time.process_time() - t
+        return time.process_time() - t if row == "transitive" else phases[row]
     from laddergroups import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,9 +140,18 @@ def measure(row: str, depth: int) -> float:
     return elapsed
 
 
-def _transitive(lg, spec: dict) -> bool:
+def _transitive(lg, spec: dict, phases: dict[str, float]) -> bool:
     """The library calls of bench/job.py's run_transitive on `spec`, without
-    serializing the reports: B and C certified equivalent through A."""
+    serializing the reports: B and C certified equivalent through A.  The
+    CPU time of the level_iso_verify calls is added to phases["verify"], and
+    that of invert_level_iso to phases["invert"]."""
+
+    def timed(phase, fn, *args):
+        t = time.process_time()
+        out = fn(*args)
+        phases[phase] += time.process_time() - t
+        return out
+
     depth, alpha = spec["depth"], lg.parse_ordinal(spec["alpha"])
     deltas = [lg.parse_ordinal(d) for d in spec["deltas"]]
     sys_a = lg.LadderSystem.build(alpha, {d: lg.make_simple_special(d, depth) for d in deltas})
@@ -156,10 +171,12 @@ def _transitive(lg, spec: dict) -> bool:
                              extra_x=stage_b.x_indices)
     ab = lg.level_iso_build(stage_a, stage_b, dis)
     ac = lg.level_iso_build(stage_a, stage_c, dis)
-    reports = [lg.level_iso_verify(ab, stage_a, stage_b), lg.level_iso_verify(ac, stage_a, stage_c)]
-    ba = lg.invert_level_iso(ab, stage_a, stage_b)
-    reports.append(lg.level_iso_verify(ba, stage_b, stage_a))
-    reports.append(lg.level_iso_verify(lg.compose_maps(ac, ba), stage_b, stage_c))
+    verify = lg.level_iso_verify
+    reports = [timed("verify", verify, ab, stage_a, stage_b),
+               timed("verify", verify, ac, stage_a, stage_c)]
+    ba = timed("invert", lg.invert_level_iso, ab, stage_a, stage_b)
+    reports.append(timed("verify", verify, ba, stage_b, stage_a))
+    reports.append(timed("verify", verify, lg.compose_maps(ac, ba), stage_b, stage_c))
     return dis.certified and all(o.ok for o in overlaps) and all(r.ok for r in reports)
 
 
