@@ -12,7 +12,6 @@ is 0 exactly when every requested check passes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -598,44 +597,94 @@ def render_report(report: dict, fmt: str) -> str:
     return _render_text(report)
 
 
+# the command line: VERB SCENARIO and these options, each (metavar, help,
+# kind, default) with kind int, str or a tuple of choices.  No option name
+# is a prefix of another, so an exact name is also a unique prefix.
+VERBS = ("run", *_RUNNERS)
+OPTIONS = {
+    "depth": ("N", f"default chain depth (default: env {DEPTH_ENV}, else 6)", int, None),
+    "stage": ("LIT", "default stage level as an ordinal literal (default: none)", str, None),
+    "seed": ("N", "seed for randomized sweeps (default: 0)", int, 0),
+    "bound": ("N", "default splitting search bound (default: 25)", int, 25),
+    "format": ("{text,json}", "report format (default: text)", ("text", "json"), "text"),
+    "out": ("PATH", "write the report to a file instead of stdout (default: none)", str, None),
+}
+USAGE = "usage: laddergroups [-h] VERB SCENARIO [--OPTION VALUE ...]"
+
+
+def _bad_usage(message: str):
+    sys.stderr.write(f"{USAGE}\nladdergroups: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _choice(what: str, value: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        _bad_usage(f"argument {what}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def _is_option(arg: str) -> bool:
+    # as in argparse, "-" and negative numbers are values
+    return arg.startswith("-") and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """VERB, SCENARIO and the option values of argv, read as argparse reads
+    them: --name VALUE or --name=VALUE, with name any unique prefix of an
+    option, in any order, and the last of a repeated option winning.  -h or
+    --help prints the help and exits 0; a usage error exits 2 after a usage
+    line and an error line."""
+    out = {name: spec[3] for name, spec in OPTIONS.items()}
+    positional, extras, args = [], [], iter(argv)
+    for arg in args:
+        if not _is_option(arg):
+            positional.append(arg)
+            _choice("verb", positional[0], VERBS)  # checked when read, as argparse does
+            continue
+        prefix, eq, value = ("--help" if arg == "-h" else arg)[2:].partition("=")
+        names = [n for n in ("help", *OPTIONS) if prefix and n.startswith(prefix)]
+        if not names or arg[1] != "-" and arg != "-h":
+            extras.append(arg)  # reported at the end, as argparse does
+            continue
+        if len(names) > 1:
+            _bad_usage(f"ambiguous option: --{prefix} could match --{', --'.join(names)}")
+        if names == ["help"]:
+            rows = [("VERB", f"run all checks, or only those of one kind: {', '.join(VERBS)}"),
+                    ("SCENARIO", "scenario JSON file"), ("-h, --help", "show this help and exit"),
+                    *((f"--{name} {spec[0]}", spec[1]) for name, spec in OPTIONS.items())]
+            sys.stdout.write(f"{USAGE}\n\nBuild and verify ladder-system groups from scenario "
+                             "files.\n\n" + "".join(f"  {a:<22}{b}\n" for a, b in rows))
+            raise SystemExit(0)
+        name, kind = names[0], OPTIONS[names[0]][2]
+        if not eq and _is_option(value := next(args, "--")):  # "--" when argv ends here
+            _bad_usage(f"argument --{name}: expected one argument")
+        try:
+            out[name] = kind(value) if callable(kind) else _choice(f"--{name}", value, kind)
+        except ValueError:
+            _bad_usage(f"argument --{name}: invalid int value: {value!r}")
+    if len(positional) != 2 or extras:
+        _bad_usage(f"unrecognized arguments: {' '.join(extras)}" if len(positional) == 2
+                   else f"expected the arguments VERB SCENARIO, got {positional}")
+    out["verb"], out["scenario"] = positional
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="laddergroups",
-        description="Build and verify ladder-system groups from scenario files.",
-    )
-    parser.add_argument("verb", choices=["run", *_RUNNERS],
-                        help="run all checks, or only those of one kind")
-    parser.add_argument("scenario", help="scenario JSON file")
-    parser.add_argument("--depth", type=int, default=None,
-                        help=f"default chain depth (default: env {DEPTH_ENV}, else 6)")
-    parser.add_argument("--stage", type=str, default=None,
-                        help="default stage level as an ordinal literal")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
-    parser.add_argument("--bound", type=int, default=25,
-                        help="default splitting search bound")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the report to a file instead of stdout")
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.depth is None:
-            args.depth = _get(os.environ, DEPTH_ENV, "", DECIMAL, "6")
-        options = {
-            "depth": NAT(args.depth, "--depth"),
-            "seed": args.seed,
-            "bound": args.bound,
-            "stage": ORDINAL(args.stage, "--stage") if args.stage else None,
-            "kind": None if args.verb == "run" else args.verb,
-        }
-        report = run_scenario(args.scenario, options)
+        depth = _get(os.environ, DEPTH_ENV, "", DECIMAL, "6") if args["depth"] is None \
+            else args["depth"]
+        options = dict(args, depth=NAT(depth, "--depth"),
+                       stage=ORDINAL(args["stage"], "--stage") if args["stage"] else None,
+                       kind=None if args["verb"] == "run" else args["verb"])
+        report = run_scenario(args["scenario"], options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_report(report, args.format)
-    if args.out:
+    text = render_report(report, args["format"])
+    if args["out"]:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: --out: {exc}", file=sys.stderr)

@@ -271,12 +271,17 @@ def level_iso_verify(
         level_checks,
         tuple(str(k) for k in src_keys),
         tuple(str(k) for k in dst_keys),
-        tuple(
-            tuple(str(Fraction(row[j], den)) if j in row else "0" for j in range(n))
-            for row in matrix
-        ),
+        tuple(_row_strings(row, den, n) for row in matrix),
         ok,
     )
+
+
+def _row_strings(row: dict[int, int], den: int, n: int) -> tuple[str, ...]:
+    """The n entries of a sparse integer row over den, as report strings."""
+    out = ["0"] * n
+    for j, v in row.items():
+        out[j] = str(Fraction(v, den))
+    return tuple(out)
 
 
 def _level_checks(

@@ -167,10 +167,11 @@ _BLOCK = 64
 _BLOCK_PRODUCTS: list[int] = []
 # The codec's reach: encode and decode use only the primes of index below
 # _PRIME_COUNT, and raise ConfigError for a triple packing to a larger index
-# or a code with a prime factor past them.  It covers the palette-2 relation
-# images of stages to depth 51 (the largest index is 694,432 at depth 48);
-# the sieve listing these primes stops below 14.4 million, in about 0.3 s
-# and 100 MB.  A multiple of _BLOCK, so decode's block walk ends on it.
+# or a code with a prime factor past them.  It covers the relation images of
+# stages to depth 1,351 at palette 2 and to depth 1,331 at palette 4 (the
+# largest index is 1,330 at depth 48 and palette 2); the sieve listing these
+# primes stops below 14.4 million, in about 0.3 s and 100 MB.  A multiple of
+# _BLOCK, so decode's block walk ends on it.
 _PRIME_COUNT = 14 * 2**16
 # _grow_primes checks and extends both lists under this lock, so threads
 # can share them; decode and _nth_prime only read prefixes already grown
@@ -223,13 +224,14 @@ def _unpair(z: int) -> tuple[int, int]:
 
 
 def _pack3(n: int, m: int, j: int) -> int:
-    return _pair(_pair(n, m), j)
+    # n, the chain index, runs to the stage depth and m, j stay below the
+    # palette, so n goes outermost: the index grows like depth**2, not depth**4
+    return _pair(n, _pair(m, j))
 
 
 def _unpack3(z: int) -> tuple[int, int, int]:
-    nm, j = _unpair(z)
-    n, m = _unpair(nm)
-    return n, m, j
+    n, mj = _unpair(z)
+    return (n, *_unpair(mj))
 
 
 MarkedElement = tuple[tuple[tuple[int, int, int], int], ...]

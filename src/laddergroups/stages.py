@@ -141,7 +141,8 @@ def build_stage(
     """Assemble and verify a stage: every ladder must be explored through
     `depth` blocks, and the realization through the closed-form chain
     elements, one chain_table walk per ladder, must kill every relation
-    before the stage is accepted."""
+    before the stage is accepted (read on the chain rows by _open_relation;
+    the message renders the residue through verify_hom)."""
     if depth < 0:
         raise ConfigError(f"stage depth must be non-negative, got {depth}")
     deltas = cfg.system.deltas_below(alpha)
@@ -160,11 +161,37 @@ def build_stage(
               for n, e in enumerate(chain_table(cfg, d, depth, coloring))}
     stage = StageGroup(cfg, alpha, depth, coloring,
                        tuple(sorted(xs)), chains)
-    hom = verify_hom(stage.realization(), stage.formal_relations())
-    if not hom.ok:
-        label, residue = hom.failures[0]
+    if (failed := _open_relation(stage)) is not None:
+        label, residue = verify_hom(stage.realization(), [failed]).failures[0]
         raise ConfigError(f"relation {label} does not close: {residue}")
     return stage
+
+
+def _open_relation(stage: StageGroup) -> tuple[str, FreeElement] | None:
+    """The first formal relation that the stage's realization does not kill,
+    or None, read where its terms live.
+
+    Relation (delta, n) is c1*y(delta, n+1) + c0*y(delta, n) + t, with t its
+    x and w terms.  With chain(i) = r(i) / d(i) in lowest terms it dies
+    exactly when c1*d(n)*r(n+1) + c0*d(n+1)*r(n) + d(n)*d(n+1)*t vanishes.
+    When c0 = -1 and d(n+1) = c1*d(n), as for every chain_table row, whose
+    seed numerator is 1, that is r(n+1) - r(n) = -d(n)*t: the two rows agree
+    off t, where the table shares its ints, so only t's terms are computed."""
+    for relation in stage.formal_relations():
+        t = dict(relation[1].integer_form()[1])
+        lo, hi = sorted(g for g in t if g.kind == "y")
+        c0, c1 = t.pop(lo), t.pop(hi)
+        (d0, r0), (d1, r1) = stage.chains[lo].integer_form(), stage.chains[hi].integer_form()
+        if c0 == -1 and d1 == c1 * d0:
+            # r(n) moved by -d(n)*t, compared key by key with r(n+1)
+            want = {**r0, **{g: r0.get(g, 0) - d0 * c for g, c in t.items()}}
+            closes = r1 == {g: v for g, v in want.items() if v}
+        else:
+            closes = not any(c1 * d0 * r1.get(g, 0) + c0 * d1 * r0.get(g, 0)
+                             + d0 * d1 * t.get(g, 0) for g in {*r0, *r1, *t})
+        if not closes:
+            return relation
+    return None
 
 
 def filtration_subgroup(sg: StageGroup, mu: Ordinal) -> tuple[Generator, ...]:

@@ -1,7 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from laddergroups import cli
 from laddergroups.cli import main, render_report, run_scenario
 
 
@@ -195,3 +205,122 @@ def test_unwritable_out_path_exits_2(obstruct_scenario, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the command line, read without argparse; argparse is the oracle
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The parser cli.main used before it read its own arguments."""
+    parser = argparse.ArgumentParser(prog="laddergroups")
+    parser.add_argument("verb", choices=list(cli.VERBS))
+    parser.add_argument("scenario")
+    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--stage", type=str, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--bound", type=int, default=25)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--out", type=str, default=None)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """(exit code, parsed values, stdout, stderr): code None and the values
+    when parse returns."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = parse(argv)
+    except SystemExit as exc:
+        return exc.code, None, out.getvalue(), err.getvalue()
+    return None, values, out.getvalue(), err.getvalue()
+
+
+OPTION_WORDS = ["--depth", "--dep", "--d", "--stage", "--st", "--s", "--seed", "--se",
+                "--bound", "--b", "--format", "--form", "--out", "--o", "--nope", "-x",
+                "---depth", "-d"]
+VALUE_WORDS = ["3", "-2", "0", " 4", "+5", "1_0", "x", "2.5", "-2.5", "", "-", "text", "json",
+               "xml", "w^2", "s.json", "run", "build", "bogus"]
+# An argument that starts with "-", is no option and holds a space is read as
+# an unknown option here, where argparse reads it as a positional argument
+# (see the usage-error cases below), so joined values hold no space.
+ARGV_WORDS = st.one_of(
+    st.sampled_from(OPTION_WORDS + VALUE_WORDS),
+    st.builds("{}={}".format, st.sampled_from(OPTION_WORDS),
+              st.sampled_from([v for v in VALUE_WORDS if " " not in v])),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(ARGV_WORDS, max_size=7), st.booleans())
+def test_argument_parsing_matches_the_argparse_oracle(argv, with_help):
+    if with_help:
+        argv = argv[:len(argv) // 2] + [["-h", "--help", "--he"][len(argv) % 3]]
+    code, values, out, err = parse_outcome(cli._parse_args, argv)
+    oracle_code, oracle_ns, _, _ = parse_outcome(argparse_oracle().parse_args, argv)
+    assert code == oracle_code, (argv, err)
+    assert values == (None if oracle_ns is None else vars(oracle_ns)), argv
+    if code == 2:
+        usage, error = err.splitlines()
+        assert usage == cli.USAGE and error.startswith("laddergroups: error: "), err
+        assert out == ""
+    elif code == 0:
+        assert out.startswith(cli.USAGE + "\n") and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "expected the arguments VERB SCENARIO, got []"),
+    (["run"], "expected the arguments VERB SCENARIO, got ['run']"),
+    (["run", "a.json", "b.json"], "expected the arguments VERB SCENARIO, got ['run', 'a.json', 'b.json']"),
+    (["run", "a.json", "--nope"], "unrecognized arguments: --nope"),
+    (["run", "a.json", "--", "-b c.json"], "unrecognized arguments: -- -b c.json"),
+    (["run", "a.json", "--s", "1"], "ambiguous option: --s could match --stage, --seed"),
+    (["run", "a.json", "--depth"], "argument --depth: expected one argument"),
+    (["run", "a.json", "--stage", "-x"], "argument --stage: expected one argument"),
+    (["run", "a.json", "--bound=x"], "argument --bound: invalid int value: 'x'"),
+    (["run", "a.json", "--form", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from text, json)"),
+    (["bogus", "a.json", "--help"],
+     "argument verb: invalid choice: 'bogus' (choose from run, validate, build, project, "
+     "equiv, uniformize, extend, obstruct)"),
+])
+def test_usage_errors_exit_2_with_a_usage_line_and_one_error_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{cli.USAGE}\nladdergroups: error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_lists_every_verb_and_option_with_its_help_and_default(capsys):
+    for flag in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", flag, "--depth", "x"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(cli.USAGE + "\n")
+        assert all(verb in text for verb in cli.VERBS)
+        for name, (metavar, help_text, _, _) in cli.OPTIONS.items():
+            assert f"--{name} {metavar}" in text and help_text in text
+    assert "(default: env LADDERGROUPS_DEPTH, else 6)" in text
+    assert "(default: 25)" in text and "(default: text)" in text
+
+
+def test_abbreviated_and_joined_options_read_as_the_full_ones(obstruct_scenario, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["run", obstruct_scenario, "--bound", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    full = out.read_text(encoding="utf-8")
+    out.unlink()
+    assert main(["--b=3", "run", "--form=json", obstruct_scenario, "--o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == full
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, laddergroups.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n"

@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = (("ladders", "layer"), ("build_stage", "layer"), ("freeness", "layer"), ("transitive", "layer"),
-        ("verify", "layer"), ("invert", "layer"), ("obstruct", "e2e"), ("roundtrip", "e2e"))
+ROWS = (("ladders", "layer"), ("build_stage", "layer"), ("freeness", "layer"), ("deep_psi", "layer"),
+        ("transitive", "layer"), ("verify", "layer"), ("invert", "layer"), ("obstruct", "e2e"),
+        ("roundtrip", "e2e"))
 
 
 def _scale(*args):
@@ -40,3 +41,13 @@ def test_scale_tool_writes_every_row_under_its_label(tmp_path):
         assert r["won"] == [sum(x < y for x, y in zip(a, b)) / 2,
                             sum(y < x for x, y in zip(a, b)) / 2]
         assert sum(r["won"]) <= 1
+
+
+def test_scale_tool_measures_only_the_named_rows_in_record_order(tmp_path):
+    out = tmp_path / "scale.json"
+    _scale("--src", str(ROOT / "src"), "--rows", "roundtrip", "deep_psi", "--depths", "3",
+           "--runs", "1", "--out", str(out))
+    rows = json.loads(out.read_text(encoding="utf-8"))["run"]["rows"]
+    assert [(r["name"], r["kind"], r["depth"]) for r in rows] == [
+        ("deep_psi", "layer", 3), ("roundtrip", "e2e", 3)]
+    assert all(r["sides"][0]["median_s"] >= 0 for r in rows)

@@ -204,7 +204,8 @@ def test_marked_target_codec_random(items):
 def test_marked_target_codec_round_trip_past_pack_index_ten_thousand():
     # the leftover prime of decode is found in the prime list, not stepped to
     target = MarkedBasisTarget()
-    far = [(0, 0, 147), (1, 0, 146), (0, 1, 146), (2, 3, 140)]
+    # the chain index n is the coordinate that grows, so it carries the range
+    far = [(147, 0, 0), (146, 0, 1), (146, 1, 0), (140, 3, 2)]
     assert all(_pack3(*t) > 10**4 for t in far)
     elems = [target.basis(*t) for t in far]
     elems.append(target.scale(-3, target.basis(*far[1])))
@@ -369,9 +370,9 @@ def test_codec_decode_matches_oracle_below_2_16():
 
 # decoding a random large integer can leave a huge prime to reach, so only
 # encodings are decoded here: their primes have known indices
-far_terms = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(141, 170)),
+far_terms = st.tuples(st.tuples(st.integers(141, 170), st.integers(0, 3), st.integers(0, 3)),
                       st.integers(-4, 4).filter(bool))
-any_terms = st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 170)),
+any_terms = st.tuples(st.tuples(st.integers(0, 170), st.integers(0, 3), st.integers(0, 4)),
                       st.integers(-4, 4))
 
 
@@ -443,8 +444,10 @@ def test_codec_encode_past_the_prime_reach_raises_within_a_gib_in_a_second():
     assert far[:2] == ("error", "triple (0, 0, 2000) is not in the enumeration's range")
     assert far[2] < 1
     assert past[:2] == ("error", f"triple {t} is not in the enumeration's range")
-    # the reach covers the palette-2 relation images of a depth-48 stage
-    assert _pack3(47, 1, 1) == 694432 < splitting._PRIME_COUNT
+    # the palette-2 relation images of a depth-48 stage pack below 1,331,
+    # and those of a depth-1351 stage within the reach
+    assert _pack3(47, 1, 1) == 1330
+    assert _pack3(1350, 1, 1) < splitting._PRIME_COUNT <= _pack3(1351, 1, 1)
     assert last[:2] == ("value", repr(((_unpack3(splitting._PRIME_COUNT - 1), 1),)))
 
 

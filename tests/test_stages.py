@@ -520,6 +520,61 @@ def test_relation_check_sees_a_perturbed_chain_element(monkeypatch):
         two_delta_stage(depth=5)
 
 
+def _perturbations(sg):
+    """Strategies for a chain element replacing chain(delta, n): an x (or w)
+    entry moved, the seed numerator moved off 1, or the element scaled, so
+    that its row may lose a common factor with its denominator."""
+    keys = [xgen(b) for b in sg.x_indices] + ([WGEN] if sg.coloring is not None else [])
+
+    def seed_moved(e, j):
+        seed = next(g for g in e.integer_form()[1] if g.kind == "y")
+        return e + FreeElement.single(seed, Fraction(j, e.integer_form()[0]))
+
+    return [
+        st.builds(lambda g, q: lambda e: e + FreeElement.single(g, q),
+                  st.sampled_from(keys), nonzero_fractions),
+        st.builds(lambda j: lambda e: seed_moved(e, j),
+                  st.integers(-3, 3).filter(bool)),
+        st.builds(lambda q: lambda e: e.scale(q),
+                  nonzero_fractions.filter(lambda q: q != 1)),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_stages(), st.data())
+def test_relation_check_matches_the_verify_hom_oracle(stage_args, data):
+    cfg, alpha, depth, coloring = stage_args
+    sg = build_stage(cfg, alpha, depth, coloring=coloring)
+    chains = dict(sg.chains)
+    if depth and data.draw(st.booleans()):
+        d = data.draw(st.sampled_from(sg.deltas))
+        key = ygen(d, data.draw(st.integers(0, depth)))
+        chains[key] = data.draw(st.one_of(_perturbations(sg)))(chains[key])
+    stage = StageGroup(cfg, alpha, depth, coloring, sg.x_indices, chains)
+    relations = stage.formal_relations()
+    failures = verify_hom(stage.realization(), relations).failures
+    expect = (failures[0][0], dict(relations)[failures[0][0]]) if failures else None
+    assert stages._open_relation(stage) == expect
+
+
+def test_relation_check_sees_every_perturbed_row_where_psi_is_one():
+    # where psi(n) = 1 the rows n and n+1 share their denominator; the check
+    # must still see row n doubled, negated or with its seed moved by one
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_block_special(W2, 6)})
+    cfg = GroupConfig.alternating(sys, TablePsi((1, 1, 2, 1, 3, 1)))
+    sg = build_stage(cfg, alpha, 5)
+    assert stages._open_relation(sg) is None
+    for n in range(6):
+        for change in (lambda e: e.scale(2), lambda e: e.scale(-1),
+                       lambda e: e + FreeElement.single(ygen(W2, 0), 1)):
+            chains = dict(sg.chains)
+            chains[ygen(W2, n)] = change(chains[ygen(W2, n)])
+            stage = StageGroup(cfg, alpha, 5, None, sg.x_indices, chains)
+            first = sg.formal_relations()[max(n - 1, 0)]
+            assert stages._open_relation(stage) == first
+
+
 def _short_psi_config():
     alpha = parse_ordinal("w^2+1")
     sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 6)})

@@ -1,7 +1,7 @@
 """Depth scaling of laddergroups, one fresh process per measurement.
 
     python3 tools/scale.py --src PATH [--src PATH2] [--depths 8 16 24 32 48]
-                           [--runs 3] [--label NAME] [--out FILE]
+                           [--rows NAME ...] [--runs 3] [--label NAME] [--out FILE]
 
 PATH is the ``src`` directory of the checkout to measure, so checkouts are
 measured by the same tool and on the same inputs.  With a second ``--src``
@@ -9,7 +9,8 @@ the two trees are interleaved run by run: each run of a row measures both
 trees, and the tree measured first alternates from run to run, so drift in
 the host's load falls on both sides alike.  The inputs come from the
 generators of ``bench/workloads.py`` next to this file, read-only, at seed
-0.  Rows, each measured at every depth:
+0.  Rows, each measured at every depth (``--rows`` names the rows to
+measure, all of them by default):
 
 - ``ladders`` (layer): the three rule-backed ladders of the
   ``build_stage`` row built from scratch at the depth, then
@@ -23,6 +24,10 @@ generators of ``bench/workloads.py`` next to this file, read-only, at seed
   each ladder) on the stage of two rule-backed ladders (``w^2``,
   ``w^2*2``, blocks of offsets (1, 2), alternating coefficients, factorial
   psi) at level ``w^2*2+1``;
+- ``deep_psi`` (layer): a cold ``build_stage`` of the stage of two simple
+  ladders (``w^2``, ``w^2*2``, unit coefficients, factorial psi) at level
+  ``w^2*2+1``, whose chain denominators grow like depth**2 * log(depth)
+  bits;
 - ``transitive`` (layer): the library calls of the equiv-transitive job
   (``bench/job.py``'s ``run_transitive``) on its seed-0 input at the depth:
   the three stages, ``disjointify`` and the overlap checks, the two level
@@ -62,7 +67,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS = {"ladders": "layer", "build_stage": "layer", "freeness": "layer",
-        "transitive": "layer", "verify": "layer", "invert": "layer",
+        "deep_psi": "layer", "transitive": "layer", "verify": "layer", "invert": "layer",
         "obstruct": "e2e", "roundtrip": "e2e"}
 SEED = 0
 
@@ -99,6 +104,14 @@ def measure(row: str, depth: int) -> float:
             return time.process_time() - t
         cfg = lg.GroupConfig.all_ones(system)
         lg.build_stage(cfg, alpha, depth)  # warm
+        t = time.process_time()
+        lg.build_stage(cfg, alpha, depth)
+        return time.process_time() - t
+    if row == "deep_psi":
+        alpha = lg.parse_ordinal("w^2*2+1")
+        deltas = tuple(map(lg.parse_ordinal, ("w^2", "w^2*2")))
+        system = lg.LadderSystem.build(alpha, {d: lg.make_simple_special(d, depth) for d in deltas})
+        cfg = lg.GroupConfig.all_ones(system)
         t = time.process_time()
         lg.build_stage(cfg, alpha, depth)
         return time.process_time() - t
@@ -202,9 +215,11 @@ def _side(times: list[float]) -> dict:
             "runs": times}
 
 
-def record(srcs: list[str], depths: list[int], runs: int) -> dict:
+def record(srcs: list[str], depths: list[int], runs: int, names: list[str]) -> dict:
     rows = []
     for row, kind in ROWS.items():
+        if row not in names:
+            continue
         for depth in depths:
             times: list[list[float]] = [[] for _ in srcs]
             for run in range(runs):
@@ -228,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="src directory of a checkout to measure; give it twice to "
                              "interleave two checkouts")
     parser.add_argument("--depths", type=int, nargs="+", default=[8, 16, 24, 32, 48])
+    parser.add_argument("--rows", nargs="+", choices=list(ROWS), default=list(ROWS),
+                        help="rows to measure, in the record's fixed order (default: all)")
     parser.add_argument("--runs", type=int, default=3, help="fresh processes per row and depth")
     parser.add_argument("--label", default="run", help="key of this record in --out")
     parser.add_argument("--out", help="JSON file to merge the record into")
@@ -242,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--src may be given at most twice")
     if args.runs < 1 or any(d < 3 for d in args.depths):
         parser.error("--runs must be positive and every depth at least 3")
-    rec = record(srcs, args.depths, args.runs)
+    rec = record(srcs, args.depths, args.runs, args.rows)
     print(json.dumps(rec, indent=2))
     if args.out:
         merged = {}
