@@ -827,14 +827,14 @@ def parity_obstruction(
             for beta, b in zip(sl.block_values(n), vec):
                 lift[beta] = b
     nstar = min(
-        (n for dd in cfg.system.deltas for n in range(depth)
+        (n for dd in t1.deltas for n in range(depth)
          if c1.color(dd, n) != c2.color(dd, n)),
         default=None,
     )
     traces = []
     witness = None
     obstructed_at = None
-    for dd in cfg.system.deltas:
+    for dd in t1.deltas:
         delta_val = Fraction(0)
         trace = []
         for n in range(depth):

@@ -10,7 +10,7 @@ projections and freeness certificates finite computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
 
@@ -28,7 +28,6 @@ from .presentation import (
     block_element,
     chain_relation,
     chain_table,
-    gauss_jordan,
     generator_level,
     relation_label,
     rewrite_over_chains,
@@ -348,8 +347,10 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
     generators below breakpoint m+1.  The basis keeps chain index m when
     psi(m) = 1; otherwise the pure closure picks up one more division and
     the chain index m+1 is required (the gcd-1 block coefficients make that
-    element primitive).  Every closure element is certified to rewrite
-    integrally over the basis.
+    element primitive).  Every closure element is certified to have integral
+    coordinates over the basis, solved by hom_from_basis from the stage's
+    relations below the basis chain index, and the basis is independent
+    because each chain key's realization alone carries its seed.
     """
     if sg.coloring is not None:
         raise ScopeError("freeness bases are defined on untwisted stages")
@@ -373,30 +374,38 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
                 if pos >= sl.k(0):
                     m = max(m, sl.block_of_position(pos))
     mstar = m if cfg.psi(m) == 1 else m + 1
-    if mstar > sg.depth or m + 1 > min(cfg.system.ladder(d).block_count for d in touched):
-        raise ConfigError("stage too shallow for the requested closure; increase depth")
+    shallow = ConfigError("stage too shallow for the requested closure; increase depth")
+    if m + 1 > min(cfg.system.ladder(d).block_count for d in touched):
+        raise shallow
     closure: set[Generator] = set(T)
     basis: set[Generator] = {g for g in T if g.kind == "x"}
     for d in touched:
         sl = cfg.system.ladder(d)
-        closure.update(ygen(d, n) for n in range(mstar + 1))
-        closure.update(xgen(b) for b in sl.entries[: sl.k(m + 1)])
-        basis.add(ygen(d, mstar))
-        basis.update(xgen(b) for b in sl.entries[: sl.k(m + 1)])
+        xs = [xgen(b) for b in sl.entries[: sl.k(m + 1)]]
+        closure.update((ygen(d, n) for n in range(mstar + 1)), xs)
+        basis.update([ygen(d, mstar)], xs)
+    if not closure <= sg._scope:
+        raise shallow
+    # the stage cut at mstar: the same chain table, the relations below mstar
+    low = replace(sg, depth=mstar)
+    coords = low.hom_from_basis({k: FreeElement.single(k) for k in low.stage_basis()})
     problems = []
     basis_sorted = tuple(basis_order(basis))
     for g in basis_order(closure):
-        coords = sg.rewrite(sg.realize(g), mstar)
-        den, nums = coords.integer_form()
-        for key in coords.support():
-            if nums[key] % den:
-                problems.append(f"{g} has fractional coordinate over the basis")
-                break
-            if key not in basis:
-                problems.append(f"{g} touches {key} outside the basis")
-                break
-    if len(basis_sorted) != _rank(sg, basis_sorted, mstar):
-        problems.append("basis is linearly dependent")
+        den, nums = coords.image_of(g).integer_form()
+        # the first offending coordinate in basis order, if any; an integral
+        # element (den 1, in lowest terms) has no fractional coordinate
+        fractional = {k for k in nums if nums[k] % den} if den > 1 else set()
+        offenders = basis_order(fractional | (nums.keys() - basis))
+        if offenders and offenders[0] in fractional:
+            problems.append(f"{g} has fractional coordinate over the basis")
+        elif offenders:
+            problems.append(f"{g} touches {offenders[0]} outside the basis")
+    # independent: each chain key's realization carries its own seed
+    # y(delta, 0) and no other, and the x keys are distinct generators
+    seeds = [{g for g in low.realize(k).support() if g.kind == "y"} for k in basis_sorted]
+    if seeds != [{ygen(k.ordinal, 0)} if k.kind == "y" else set() for k in basis_sorted]:
+        problems.append("basis independence not certified by the seeds")
     return FreenessBasis(
         basis_sorted,
         m,
@@ -405,10 +414,3 @@ def freeness_basis(sg: StageGroup, T: tuple[Generator, ...]) -> FreenessBasis:
         not problems,
         tuple(problems),
     )
-
-
-def _rank(sg: StageGroup, keys: tuple[Generator, ...], depth: int) -> int:
-    """Rank over the rationals of the concrete vectors behind the keys, read
-    off their integer numerators."""
-    rows = [sg.rewrite(sg.realize(g), depth).integer_form()[1] for g in keys]
-    return gauss_jordan(rows, basis_order({k for row in rows for k in row}))[1]

@@ -234,6 +234,30 @@ def test_obstruct_stage_below_a_shallower_ladder_runs(tmp_path):
     assert report["checks"][0]["status"] == "OBSTRUCTED"
 
 
+def test_obstruct_verdict_reads_the_stage_deltas_only(tmp_path):
+    # the colorings differ only on w^2*2, above the stage level: the stage
+    # sees no color difference, and a section pair exists
+    colors = {"z": [0] * 8, "f": [0, 0, 1] + [0] * 5}
+    scenario = {
+        "systems": {"s": {"alpha": "w^2*2+1", "ladders": [
+            {"delta": "w^2", "family": "blocks", "blocks": 8},
+            {"delta": "w^2*2", "family": "blocks", "blocks": 8}]}},
+        "colorings": {name: {"entries": [{"delta": "w^2", "colors": [0] * 8},
+                                         {"delta": "w^2*2", "colors": c}]}
+                      for name, c in colors.items()},
+        "checks": [{"check": "obstruct", "system": "s", "alpha": "w^2+1", "depth": 6,
+                    "c1": "f", "c2": "z"}],
+    }
+    path = tmp_path / "stage-below-difference.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    (chk,) = run_scenario(str(path), dict(OPTIONS))["checks"]
+    assert chk["ok"], chk
+    assert chk["status"] == "NOT_OBSTRUCTED"
+    assert chk["nstar"] is None
+    assert list(chk["trace"]) == ["w^2*1"]
+    assert [status for _, status, _ in chk["searches"]] == ["found"]
+
+
 @pytest.mark.parametrize("depth", [-3, "6", 2.5, True])
 @pytest.mark.parametrize("kind", ["build", "project", "equiv", "extend", "obstruct"])
 def test_malformed_check_depth_exits_2(tmp_path, capsys, kind, depth):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,10 +25,12 @@ from laddergroups.presentation import (
     ScopeError,
     TablePsi,
     WGEN,
+    basis_order,
     block_element,
     chain_element,
     chain_relation,
     chain_table,
+    gauss_jordan,
     generator_level,
     membership,
     relation_label,
@@ -355,6 +358,138 @@ def test_freeness_basis_rejects_a_twisted_stage_up_front():
     with pytest.raises(ScopeError) as err:
         freeness_basis(sg, (ygen(W2, 2),))
     assert str(err.value) == "freeness bases are defined on untwisted stages"
+
+
+SHALLOW = "stage too shallow for the requested closure; increase depth"
+
+
+def _freeness_oracle(sg, T):
+    """freeness_basis as it was before its coordinates came from
+    hom_from_basis: every closure element rewritten over the basis at mstar
+    through the stage's chain table, and the basis keys' rank by
+    elimination.  One guard is new: a closure generator outside the stage
+    raises the shallow-stage ConfigError."""
+    if sg.coloring is not None:
+        raise ScopeError("freeness bases are defined on untwisted stages")
+    cfg = sg.cfg
+    for g in T:
+        if g not in sg._scope:
+            raise ScopeError(f"{g} outside stage scope")
+    touched = sorted({g.ordinal for g in T if g.kind == "y"})
+    if not touched:
+        basis = tuple(basis_order(set(T)))
+        return stages.FreenessBasis(basis, 0, 0, basis, True, ())
+    m = max(g.index for g in T if g.kind == "y")
+    for g in T:
+        if g.kind != "x":
+            continue
+        for d in touched:
+            sl = cfg.system.ladder(d)
+            if g.ordinal in sl.entries:
+                pos = sl.entries.index(g.ordinal)
+                # entries before the first breakpoint are covered by any cut
+                if pos >= sl.k(0):
+                    m = max(m, sl.block_of_position(pos))
+    mstar = m if cfg.psi(m) == 1 else m + 1
+    if mstar > sg.depth or m + 1 > min(cfg.system.ladder(d).block_count for d in touched):
+        raise ConfigError("stage too shallow for the requested closure; increase depth")
+    closure: set[Generator] = set(T)
+    basis: set[Generator] = {g for g in T if g.kind == "x"}
+    for d in touched:
+        sl = cfg.system.ladder(d)
+        closure.update(ygen(d, n) for n in range(mstar + 1))
+        closure.update(xgen(b) for b in sl.entries[: sl.k(m + 1)])
+        basis.add(ygen(d, mstar))
+        basis.update(xgen(b) for b in sl.entries[: sl.k(m + 1)])
+    if not closure <= sg._scope:
+        raise ConfigError(SHALLOW)
+    problems = []
+    basis_sorted = tuple(basis_order(basis))
+    for g in basis_order(closure):
+        coords = sg.rewrite(sg.realize(g), mstar)
+        den, nums = coords.integer_form()
+        for key in coords.support():
+            if nums[key] % den:
+                problems.append(f"{g} has fractional coordinate over the basis")
+                break
+            if key not in basis:
+                problems.append(f"{g} touches {key} outside the basis")
+                break
+    if len(basis_sorted) != _oracle_rank(sg, basis_sorted, mstar):
+        problems.append("basis is linearly dependent")
+    return stages.FreenessBasis(
+        basis_sorted,
+        m,
+        mstar,
+        tuple(basis_order(closure)),
+        not problems,
+        tuple(problems),
+    )
+
+
+def _oracle_rank(sg, keys, depth):
+    """Rank over the rationals of the concrete vectors behind the keys, read
+    off their integer numerators."""
+    rows = [sg.rewrite(sg.realize(g), depth).integer_form()[1] for g in keys]
+    return gauss_jordan(rows, basis_order({k for row in rows for k in row}))[1]
+
+
+def test_freeness_closure_past_the_stage_depth_asks_for_depth():
+    # psi(3) = 1 keeps the basis chain index at the stage depth 3, but the
+    # closure needs block 3's x generator, which lies outside the stage
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 8)})
+    cfg = GroupConfig.all_ones(sys, TablePsi((2, 3, 1, 1, 2, 1, 1, 1)))
+    sg = build_stage(cfg, alpha, 3)
+    for fn in (freeness_basis, _freeness_oracle):
+        with pytest.raises(ConfigError) as err:
+            fn(sg, (ygen(W2, 3),))
+        assert str(err.value) == SHALLOW
+    # one block deeper the same closure is certified
+    assert freeness_basis(build_stage(cfg, alpha, 4), (ygen(W2, 3),)).ok
+
+
+def test_freeness_basis_reports_each_problem(monkeypatch):
+    alpha = parse_ordinal("w^2+1")
+    sys = LadderSystem.build(alpha, {W2: make_simple_special(W2, 8)})
+    sg = build_stage(GroupConfig.all_ones(sys), alpha, 6)
+    T = (ygen(W2, 2),)
+    # the basis keys are y(w^2, 3) and the x generators of blocks 0 to 2
+    far = xgen(sys.ladder(W2).entries[5])
+    solve = StageGroup.hom_from_basis
+
+    def skewed(stage, images):
+        gmap = solve(stage, images)
+        for n, scale in ((0, Fraction(1, 2)), (1, 1)):
+            key = ygen(W2, n)
+            gmap.images[key] = gmap.images[key].scale(scale) + FreeElement.single(far)
+        return gmap
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StageGroup, "hom_from_basis", skewed)
+        fb = freeness_basis(sg, T)
+    # halved, y(w^2, 0) is fractional at x[1] before it touches far
+    assert fb.problems == (f"{ygen(W2, 0)} has fractional coordinate over the basis",
+                           f"{ygen(W2, 1)} touches {far} outside the basis")
+    assert not fb.ok
+    # a basis chain element realized without its seed is not certified
+    chain, seed = sg.realize(ygen(W2, 3)), ygen(W2, 0)
+    seedless = dataclasses.replace(
+        sg, chains={**sg.chains, ygen(W2, 3): chain - FreeElement.single(seed, chain.coeff(seed))})
+    fb = freeness_basis(seedless, T)
+    assert fb.problems == ("basis independence not certified by the seeds",)
+
+
+def test_freeness_basis_neither_rewrites_nor_eliminates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("freeness_basis rewrote an element")
+
+    monkeypatch.setattr(StageGroup, "rewrite", refuse)
+    monkeypatch.setattr(stages, "rewrite_over_chains", refuse)
+    assert not hasattr(stages, "gauss_jordan")
+    sg = two_delta_stage(depth=6)
+    fb = freeness_basis(sg, (ygen(W2, 2), ygen(W2_2, 4), xgen(sg.x_indices[0])))
+    assert fb.ok and fb.basis_chain_index == 5
 
 
 def _as_oracle(e):
@@ -822,3 +957,50 @@ def test_free_rewrite_and_membership_cover_the_whole_system():
     for g in (ygen(W2_2, 0), xgen(parse_ordinal("w*50+1"))):
         assert membership(sg.cfg, sg.depth, FreeElement.single(g)).in_group
         assert not stage_rewrite(sg.cfg, sg.depth, FreeElement.single(g)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# freeness bases against the rewrite-and-rank oracle
+
+
+LADDER_OFFSETS = (None, ((1, 2),), ((1,), (1, 2)), ((1, 2, 3), (1,)))
+
+
+@st.composite
+def freeness_stages(draw):
+    """Untwisted stages on simple and block ladders, with factorial psi or a
+    psi table holding 1s, so that the basis chain index can equal the cut."""
+    depth = draw(st.integers(0, 6))
+    blocks = draw(st.integers(max(depth, 1), 8))
+    deltas = draw(st.sampled_from([(W2,), (W2, W2_2)]))
+    ladders = {}
+    for d in deltas:
+        offsets = draw(st.sampled_from(LADDER_OFFSETS))
+        ladders[d] = (make_simple_special(d, blocks) if offsets is None
+                      else make_block_special(d, blocks, offsets))
+    sys = LadderSystem.build(parse_ordinal("w^2*2+1"), ladders)
+    if draw(st.booleans()):
+        psi = FactorialPsi()
+    else:
+        psi = TablePsi(tuple(draw(st.lists(st.integers(1, 3), min_size=8, max_size=8))))
+    make = draw(st.sampled_from((GroupConfig.all_ones, GroupConfig.alternating)))
+    alpha = parse_ordinal(draw(st.sampled_from(("w^2+1", "w^2*2+1"))))
+    return build_stage(make(sys, psi), alpha, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(freeness_stages(), st.data())
+def test_freeness_basis_matches_the_rewrite_and_rank_oracle(sg, data):
+    gens = sg.presentation_generators()
+    T = tuple(data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3, unique=True)))
+    assert _outcome(freeness_basis, sg, T) == _outcome(_freeness_oracle, sg, T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(freeness_stages(), st.data())
+def test_a_stage_cut_lower_is_the_stage_built_lower(sg, data):
+    mstar = data.draw(st.integers(0, sg.depth))
+    low = dataclasses.replace(sg, depth=mstar)
+    built = build_stage(sg.cfg, sg.alpha, mstar, extra_x=sg.x_indices)
+    assert low.stage_basis() == built.stage_basis()
+    assert low.formal_relations() == built.formal_relations()
