@@ -675,14 +675,14 @@ def main(argv: list[str] | None = None) -> int:
         depth = _get(os.environ, DEPTH_ENV, "", DECIMAL, "6") if args["depth"] is None \
             else args["depth"]
         options = dict(args, depth=NAT(depth, "--depth"),
-                       stage=ORDINAL(args["stage"], "--stage") if args["stage"] else None,
+                       stage=None if args["stage"] is None else ORDINAL(args["stage"], "--stage"),
                        kind=None if args["verb"] == "run" else args["verb"])
         report = run_scenario(args["scenario"], options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_report(report, args["format"])
-    if args["out"]:
+    if args["out"] is not None:
         try:
             with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)

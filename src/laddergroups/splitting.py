@@ -34,7 +34,7 @@ from .presentation import (
     compose_maps,
     verify_hom,
 )
-from .stages import StageGroup, basis_matrix, build_stage
+from .stages import StageGroup, basis_matrix, build_stage, stage_deltas
 
 
 class UniformizationError(ValueError):
@@ -702,7 +702,7 @@ def _nearest_member(residue: int, modulus: int, lo: int, hi: int) -> int | None:
     return down if down >= lo else None
 
 
-def _seed_search(stage: StageGroup, colorings, bound: int, lift):
+def _seed_search(cfg: GroupConfig, deltas, depth: int, colorings, bound: int, lift):
     """Solve each delta's section chain psi(n)*d(n+1) = d(n) + shift(n) -
     color(n) for its seed.  P(n)*d(n) = d(0) + S(n) with P(n) = psi(0)...
     psi(n-1) and S(n) = sum_{i<n} P(i)*(shift(i) - color(i)), so the seeds
@@ -713,12 +713,11 @@ def _seed_search(stage: StageGroup, colorings, bound: int, lift):
     that scan's positions, 2*bound+1 for a delta without a seed.  Returns the
     result without a section and, per solved delta, the first coloring's chain.
     """
-    cfg = stage.cfg
     offsets: dict[Ordinal, list[int]] = {}
     tried = 0
-    for dd in stage.deltas:
+    for dd in deltas:
         prods, sums = [1], [[0] for _ in colorings]
-        for n in range(stage.depth):
+        for n in range(depth):
             blocks = zip(cfg.coeff(dd, n), cfg.block_x_indices(dd, n))
             shift = sum(a * lift.get(beta, 0) for a, beta in blocks)
             for c, s in zip(colorings, sums):
@@ -757,7 +756,8 @@ def splitting_search(
     empty seed set is an exhaustion certificate for this bound.
     """
     lift = x_lift or {}
-    result, offsets = _seed_search(ts.twisted, [ts.twisted.coloring], bound, lift)
+    tw = ts.twisted
+    result, offsets = _seed_search(tw.cfg, tw.deltas, tw.depth, [tw.coloring], bound, lift)
     if not result.found:
         return result
     section = _section_from_offsets(ts, offsets, lift)
@@ -770,15 +770,16 @@ def splitting_search(
 
 
 def splitting_search_pair(
-    t1: StageGroup,
-    t2: StageGroup,
-    bound: int,
+    cfg: GroupConfig, c1: Coloring, c2: Coloring, alpha: Ordinal, depth: int, bound: int,
     x_lift: dict[Ordinal, int] | None = None,
 ) -> SearchResult:
-    """Joint section search for two twisted stages over the same group with
-    a shared x lift and shared seed offsets, the finitary reading of the
-    two-filter argument."""
-    return _seed_search(t1, [t1.coloring, t2.coloring], bound, x_lift or {})[0]
+    """Joint section search for the stages of the group at level alpha and
+    chain depth `depth` twisted by c1 and by c2, with a shared x lift and
+    shared seed offsets, the finitary reading of the two-filter argument.
+    Both colorings must fit the stage (stage_deltas); no stage is built."""
+    deltas = stage_deltas(cfg, alpha, depth, c1)
+    stage_deltas(cfg, alpha, depth, c2)
+    return _seed_search(cfg, deltas, depth, [c1, c2], bound, x_lift or {})[0]
 
 
 @dataclass(frozen=True)
@@ -807,13 +808,15 @@ def parity_obstruction(
     each step divides by psi(n), and the first color difference at an index
     with psi >= 2 demands a fractional offset, which certifies that no pair
     of sections with shared seed and lift exists at any bound.  Bounded
-    joint searches cross-validate the verdict.
+    joint searches cross-validate the verdict.  No stage is built: the
+    stage's deltas and the fit of both colorings come from stage_deltas.
     """
-    # Built first: build_stage rejects a depth past the explored blocks of a
-    # stage ladder before the lift below reads their sizes.
-    t1, t2 = (build_stage(cfg, alpha, depth, coloring=c) for c in (c1, c2))
+    # Checked first: a depth past the explored blocks of a stage ladder is
+    # rejected before the lift below reads their sizes.
+    deltas = stage_deltas(cfg, alpha, depth, c1)
+    stage_deltas(cfg, alpha, depth, c2)
     lift: dict[Ordinal, int] = {}
-    for dd in t1.deltas:
+    for dd in deltas:
         sl = cfg.system.ladder(dd)
         for n in range(depth):
             vec = b_data.get((dd, n), (0,) * sl.t(n))
@@ -827,14 +830,14 @@ def parity_obstruction(
             for beta, b in zip(sl.block_values(n), vec):
                 lift[beta] = b
     nstar = min(
-        (n for dd in t1.deltas for n in range(depth)
+        (n for dd in deltas for n in range(depth)
          if c1.color(dd, n) != c2.color(dd, n)),
         default=None,
     )
     traces = []
     witness = None
     obstructed_at = None
-    for dd in t1.deltas:
+    for dd in deltas:
         delta_val = Fraction(0)
         trace = []
         for n in range(depth):
@@ -867,7 +870,7 @@ def parity_obstruction(
         notes.append("color differences absorbed by the psi chain")
     searches = []
     for bound in bounds:
-        result = splitting_search_pair(t1, t2, bound, lift)
+        result = splitting_search_pair(cfg, c1, c2, alpha, depth, bound, lift)
         searches.append(
             (bound, "found" if result.found else "exhausted",
              result.seed_offsets[0][1] if result.found and result.seed_offsets else None)

@@ -130,6 +130,24 @@ class StageGroup:
         return frozenset(self.presentation_generators())
 
 
+def stage_deltas(cfg: GroupConfig, alpha: Ordinal, depth: int,
+                 coloring=None) -> tuple[Ordinal, ...]:
+    """The deltas below alpha, once a stage of this depth is known to fit:
+    the depth is not negative, each of their ladders is explored through
+    `depth` blocks, and the coloring, if given, reaches `depth` on each of
+    them.  The first failed check raises ConfigError."""
+    if depth < 0:
+        raise ConfigError(f"stage depth must be non-negative, got {depth}")
+    deltas = cfg.system.deltas_below(alpha)
+    for d in deltas:
+        if (explored := cfg.system.ladder(d).block_count) < depth:
+            raise ConfigError(f"ladder on {format_ordinal(d)} explored to {explored} blocks, "
+                              f"need {depth}; increase depth")
+        if coloring is not None and coloring.depth(d) < depth:
+            raise ConfigError(f"coloring on {format_ordinal(d)} shallower than stage depth")
+    return deltas
+
+
 def build_stage(
     cfg: GroupConfig,
     alpha: Ordinal,
@@ -137,24 +155,15 @@ def build_stage(
     coloring=None,
     extra_x: tuple[Ordinal, ...] = (),
 ) -> StageGroup:
-    """Assemble and verify a stage: every ladder must be explored through
-    `depth` blocks, and the realization through the closed-form chain
+    """Assemble and verify a stage: it must fit the group and the coloring
+    (stage_deltas), and the realization through the closed-form chain
     elements, one chain_table walk per ladder, must kill every relation
     before the stage is accepted (read on the chain rows by _open_relation;
     the message renders the residue through verify_hom)."""
-    if depth < 0:
-        raise ConfigError(f"stage depth must be non-negative, got {depth}")
-    deltas = cfg.system.deltas_below(alpha)
+    deltas = stage_deltas(cfg, alpha, depth, coloring)
     xs = set(extra_x)
     for d in deltas:
         sl = cfg.system.ladder(d)
-        if sl.block_count < depth:
-            raise ConfigError(
-                f"ladder on {format_ordinal(d)} explored to {sl.block_count} blocks, "
-                f"need {depth}; increase depth"
-            )
-        if coloring is not None and coloring.depth(d) < depth:
-            raise ConfigError(f"coloring on {format_ordinal(d)} shallower than stage depth")
         xs.update(sl.entries[: sl.k(depth)])
     chains = {ygen(d, n): e for d in deltas
               for n, e in enumerate(chain_table(cfg, d, depth, coloring))}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from laddergroups import cli
+from laddergroups import cli, splitting
 from laddergroups.cli import CHECK_MODULES, main, render_report, run_scenario
 
 MODULES = {
@@ -212,6 +212,51 @@ def test_obstruct_deeper_than_its_ladders_names_the_ladder(tmp_path):
     report = run_scenario(str(path), dict(OPTIONS))
     (chk,) = [c for c in report["checks"] if c["kind"] == "obstruct"]
     assert chk["error"] == "ladder on w^2*1 explored to 8 blocks, need 12; increase depth"
+
+
+def _two_ladder_obstruct(tmp_path, c1_high=16, c2_low=16, psi="factorial"):
+    """An obstruct check at depth 6 on a w^2/w^2*2 system of 8 paired blocks
+    per ladder, where c1 and c2 first differ at index 2 on w^2; c1 has c1_high
+    colors on w^2*2, and c2 has c2_low on w^2."""
+    def coloring(low, high, flip):
+        return {"entries": [{"delta": "w^2", "colors": [0, 0, flip] + [0] * (low - 3)},
+                            {"delta": "w^2*2", "colors": [0] * high}]}
+
+    scenario = {
+        "systems": {"s": {"alpha": "w^2*2+1", "ladders": [
+            {"delta": "w^2", "family": "blocks", "blocks": 8},
+            {"delta": "w^2*2", "family": "blocks", "blocks": 8}]}},
+        "colorings": {"c1": coloring(16, c1_high, 1), "c2": coloring(c2_low, 16, 0)},
+        "checks": [{"check": "obstruct", "system": "s", "depth": 6, "c1": "c1", "c2": "c2",
+                    "psi": psi}],
+    }
+    path = tmp_path / "two-ladders.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fault,error", [
+    ({"c1_high": 4}, "coloring on w^2*2 shallower than stage depth"),
+    ({"c2_low": 4}, "coloring on w^2*1 shallower than stage depth"),
+    ({"psi": [1, 2, 3]}, "psi table has no entry for n = 3"),
+    # two faults: the colorings are checked before psi is read
+    ({"c2_low": 4, "psi": [1, 2, 3]}, "coloring on w^2*1 shallower than stage depth"),
+])
+def test_obstruct_names_its_fault(tmp_path, fault, error):
+    report = run_scenario(str(_two_ladder_obstruct(tmp_path, **fault)), dict(OPTIONS))
+    (chk,) = report["checks"]
+    assert not chk["ok"] and chk["error"] == error
+
+
+def test_obstruct_check_builds_no_stage(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_stage called")
+
+    for module in (cli, splitting):
+        monkeypatch.setattr(module, "build_stage", refuse)
+    report = run_scenario(str(_two_ladder_obstruct(tmp_path)), dict(OPTIONS))
+    (chk,) = report["checks"]
+    assert chk["ok"] and chk["status"] == "OBSTRUCTED"
 
 
 def test_obstruct_stage_below_a_shallower_ladder_runs(tmp_path):

@@ -207,6 +207,24 @@ def test_unwritable_out_path_exits_2(obstruct_scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--stage", ""], "error: --stage: malformed ordinal literal ''\n"),
+    (["--stage="], "error: --stage: malformed ordinal literal ''\n"),
+    (["--out", ""], None),
+    (["--out="], None),
+])
+def test_empty_stage_or_out_exits_2(obstruct_scenario, capsys, flags, message):
+    # an empty value is a value: not a missing --stage, and not stdout
+    assert main(["run", obstruct_scenario, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    if message is None:
+        assert captured.err.startswith("error: --out: ")
+    else:
+        assert captured.err == message
+
+
 # ---------------------------------------------------------------------------
 # the command line, read without argparse; argparse is the oracle
 

@@ -661,12 +661,11 @@ def test_pair_search_monotone_exhaustion():
         for beta, b in zip(cfg.system.ladder(d).block_values(n), vec):
             lift[beta] = b
     c1 = Coloring({W2: (0, 0, 1) + (0,) * 13}, 2)
-    ts1, _ = build_twisted(cfg, c1, sys.alpha, 8)
-    ts2, _ = build_twisted(cfg, zero_coloring(sys, 16), sys.alpha, 8)
+    c2 = zero_coloring(sys, 16)
     # 10**12 is far past what a seed scan could try; the solver's count
     # still matches it.
     for bound in (1, 5, 25, 10**12):
-        res = splitting_search_pair(ts1.twisted, ts2.twisted, bound, lift)
+        res = splitting_search_pair(cfg, c1, c2, sys.alpha, 8, bound, lift)
         assert not res.found and res.failing_delta == "w^2*1"
         assert res.candidates_tried == 2 * bound + 1
 
@@ -808,9 +807,9 @@ def seed_problems(draw, max_depth=6):
 @given(seed_problems())
 def test_seed_solver_matches_scan(problem):
     cfg, depth, colorings, lift, bound = problem
-    stage = StageGroup(cfg, ALPHA, depth)
-    assert _seed_search(stage, colorings, bound, lift) == seed_search_oracle(
-        stage, colorings, bound, lift
+    deltas = cfg.system.deltas_below(ALPHA)
+    assert _seed_search(cfg, deltas, depth, colorings, bound, lift) == seed_search_oracle(
+        StageGroup(cfg, ALPHA, depth), colorings, bound, lift
     )
 
 
@@ -825,6 +824,40 @@ def test_section_searches_match_scan(problem):
     assert replace(got, section=None) == want
     assert got.found == (got.section is not None)
     if len(colorings) == 2:
-        ts2, _ = build_twisted(cfg, colorings[1], ALPHA, depth)
         want, _ = seed_search_oracle(ts1.twisted, colorings, bound, lift)
-        assert splitting_search_pair(ts1.twisted, ts2.twisted, bound, lift) == want
+        assert splitting_search_pair(cfg, colorings[0], colorings[1], ALPHA, depth, bound,
+                                     lift) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed_problems())
+def test_pair_search_is_symmetric_and_matches_scan(problem):
+    cfg, depth, colorings, lift, bound = problem
+    c1, c2 = colorings[0], colorings[-1]
+    want, _ = seed_search_oracle(StageGroup(cfg, ALPHA, depth), [c1, c2], bound, lift)
+    assert splitting_search_pair(cfg, c1, c2, ALPHA, depth, bound, lift) == want
+    assert splitting_search_pair(cfg, c2, c1, ALPHA, depth, bound, lift) == want
+
+
+def test_pair_search_checks_both_colorings_against_the_depth():
+    # a coloring shallower than the depth is rejected in either position,
+    # not read past its end or silently accepted
+    sys = paired_system(8)
+    cfg = GroupConfig.alternating(sys)
+    deep, shallow = zero_coloring(sys, 8), zero_coloring(sys, 2)
+    for c1, c2 in ((deep, shallow), (shallow, deep)):
+        with pytest.raises(ConfigError, match="^coloring on w\\^2\\*1 shallower than stage depth$"):
+            splitting_search_pair(cfg, c1, c2, sys.alpha, 8, 25)
+
+
+def test_parity_obstruction_builds_no_stage(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_stage called")
+
+    monkeypatch.setattr(splitting, "build_stage", refuse)
+    sys = paired_system(8)
+    b_data = {(W2, n): (3, 6) for n in range(8)}
+    cfg = GroupConfig.from_rule(sys, None, lambda d, n, t: choose_annihilator(b_data[(d, n)]))
+    c1 = Coloring({W2: (0, 0, 1) + (0,) * 13}, 2)
+    verdict = parity_obstruction(cfg, c1, zero_coloring(sys, 16), b_data, sys.alpha, 8)
+    assert verdict.status == "OBSTRUCTED"
