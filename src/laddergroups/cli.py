@@ -526,7 +526,7 @@ def run_scenario(path: str, options: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, ScenarioError) as exc:
+    except ValueError as exc:  # malformed JSON, repeated keys, digit limit, not UTF-8
         raise ScenarioError(f"{name}: {exc}") from None
     raw = OBJECT(raw, name)
     systems = _build_systems(raw)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from decimal import Decimal
 from itertools import compress, islice
 from math import gcd, isqrt, prod
 
@@ -702,19 +702,12 @@ def _nearest_member(residue: int, modulus: int, lo: int, hi: int) -> int | None:
     return down if down >= lo else None
 
 
-def _seed_search(cfg: GroupConfig, deltas, depth: int, colorings, bound: int, lift):
-    """Solve each delta's section chain psi(n)*d(n+1) = d(n) + shift(n) -
-    color(n) for its seed.  P(n)*d(n) = d(0) + S(n) with P(n) = psi(0)...
-    psi(n-1) and S(n) = sum_{i<n} P(i)*(shift(i) - color(i)), so the seeds
-    keeping every step integral form the class -S(depth) mod P(depth) (P(n)
-    divides every later P(i)) and |d(n)| <= bound cuts it to an interval.
-    The seed taken under all colorings is the member nearest 0, positive
-    first, which a scan 0, 1, -1, 2, ... meets first; candidates_tried counts
-    that scan's positions, 2*bound+1 for a delta without a seed.  Returns the
-    result without a section and, per solved delta, the first coloring's chain.
-    """
-    offsets: dict[Ordinal, list[int]] = {}
-    tried = 0
+def _section_walks(cfg: GroupConfig, deltas, depth: int, colorings, lift):
+    """Walk each delta's section chain psi(n)*d(n+1) = d(n) + shift(n) -
+    color(n), shift(n) being the block coefficients against the x lift, under
+    every coloring: P(n)*d(n) = d(0) + S(n) with P(n) = psi(0)...psi(n-1) and
+    S(n) = sum_{i<n} P(i)*(shift(i) - color(i)).  Yields, delta by delta, the
+    delta, P(0..depth) and each coloring's S(0..depth)."""
     for dd in deltas:
         prods, sums = [1], [[0] for _ in colorings]
         for n in range(depth):
@@ -723,6 +716,22 @@ def _seed_search(cfg: GroupConfig, deltas, depth: int, colorings, bound: int, li
             for c, s in zip(colorings, sums):
                 s.append(s[n] + prods[n] * (shift - c.color(dd, n)))
             prods.append(prods[n] * cfg.psi(n))
+        yield dd, prods, sums
+
+
+def _seed_search(walks, bound: int):
+    """Solve each walked delta's section chain (_section_walks) for its seed.
+    The seeds keeping every step integral form the class -S(depth) mod
+    P(depth) (P(n) divides every later P(i)) and |d(n)| <= bound cuts it to
+    an interval.  The seed taken under all colorings is the member nearest
+    0, positive first, which a scan 0, 1, -1, 2, ... meets first;
+    candidates_tried counts that scan's positions, 2*bound+1 for a delta
+    without a seed, where the search stops.  Returns the result without a
+    section and, per solved delta, the first coloring's chain.
+    """
+    offsets: dict[Ordinal, list[int]] = {}
+    tried = 0
+    for dd, prods, sums in walks:
         lo = max(-bound * p - s[n] for s in sums for n, p in enumerate(prods))
         hi = min(bound * p - s[n] for s in sums for n, p in enumerate(prods))
         residues = {-s[-1] % prods[-1] for s in sums}
@@ -757,7 +766,8 @@ def splitting_search(
     """
     lift = x_lift or {}
     tw = ts.twisted
-    result, offsets = _seed_search(tw.cfg, tw.deltas, tw.depth, [tw.coloring], bound, lift)
+    walks = _section_walks(tw.cfg, tw.deltas, tw.depth, [tw.coloring], lift)
+    result, offsets = _seed_search(walks, bound)
     if not result.found:
         return result
     section = _section_from_offsets(ts, offsets, lift)
@@ -779,7 +789,15 @@ def splitting_search_pair(
     Both colorings must fit the stage (stage_deltas); no stage is built."""
     deltas = stage_deltas(cfg, alpha, depth, c1)
     stage_deltas(cfg, alpha, depth, c2)
-    return _seed_search(cfg, deltas, depth, [c1, c2], bound, x_lift or {})[0]
+    return _seed_search(_section_walks(cfg, deltas, depth, [c1, c2], x_lift or {}), bound)[0]
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1, each integer part rendered by
+    str(Decimal(k)): the same bytes, past str(int)'s 4300-digit limit too."""
+    g = gcd(num, den)
+    parts = (num // g,) if g == den else (num // g, den // g)
+    return "/".join(str(Decimal(k)) for k in parts)
 
 
 @dataclass(frozen=True)
@@ -808,8 +826,10 @@ def parity_obstruction(
     each step divides by psi(n), and the first color difference at an index
     with psi >= 2 demands a fractional offset, which certifies that no pair
     of sections with shared seed and lift exists at any bound.  Bounded
-    joint searches cross-validate the verdict.  No stage is built: the
-    stage's deltas and the fit of both colorings come from stage_deltas.
+    joint searches cross-validate the verdict.  The trace, the verdict and
+    every bound's search read one walk of both chains (_section_walks).  No
+    stage is built: the stage's deltas and the fit of both colorings come
+    from stage_deltas.
     """
     # Checked first: a depth past the explored blocks of a stage ladder is
     # rejected before the lift below reads their sizes.
@@ -834,21 +854,19 @@ def parity_obstruction(
          if c1.color(dd, n) != c2.color(dd, n)),
         default=None,
     )
+    walks = list(_section_walks(cfg, deltas, depth, [c1, c2], lift))
     traces = []
-    witness = None
-    obstructed_at = None
-    for dd in deltas:
-        delta_val = Fraction(0)
+    witness = obstructed_at = None
+    for dd, prods, (s1, s2) in walks:
         trace = []
         for n in range(depth):
-            rhs = delta_val - (c1.color(dd, n) - c2.color(dd, n))
-            psi = cfg.psi(n)
-            delta_val = rhs / psi
-            trace.append((n, psi, str(delta_val)))
-            if delta_val.denominator != 1 and obstructed_at is None:
+            # Delta(n+1) = (S_c1(n+1) - S_c2(n+1)) / P(n+1): the lift's shift cancels
+            diff, psi = s1[n + 1] - s2[n + 1], cfg.psi(n)
+            trace.append((n, psi, _fraction_str(diff, prods[n + 1])))
+            if diff % prods[n + 1] and obstructed_at is None:
                 obstructed_at = n
                 witness = (
-                    f"{psi}*Delta = {rhs} has no integer solution "
+                    f"{psi}*Delta = {_fraction_str(diff, prods[n])} has no integer solution "
                     f"(step {n} on {format_ordinal(dd)})"
                 )
         traces.append((format_ordinal(dd), tuple(trace)))
@@ -870,7 +888,7 @@ def parity_obstruction(
         notes.append("color differences absorbed by the psi chain")
     searches = []
     for bound in bounds:
-        result = splitting_search_pair(cfg, c1, c2, alpha, depth, bound, lift)
+        result = _seed_search(walks, bound)[0]
         searches.append(
             (bound, "found" if result.found else "exhausted",
              result.seed_offsets[0][1] if result.found and result.seed_offsets else None)

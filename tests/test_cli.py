@@ -106,6 +106,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"checks": [], "big": ' + b"7" * 5000 + b"}",
+    '{"checks": [], "name": "\u00e9"}'.encode("latin-1"),
+], ids=["5000-digit-integer", "not-utf-8"])
+def test_unreadable_scenario_names_the_file(tmp_path, capsys, content):
+    # neither is a JSON syntax error: int() refuses the literal past its
+    # digit limit, and the bytes do not decode as UTF-8
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable.json: ")
+
+
 def test_cli_single_verb_filters(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", scenario_path("example14-pair.json"), "--out", str(out)]) == 0

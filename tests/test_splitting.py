@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -8,13 +9,14 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from laddergroups import splitting
+from laddergroups.cli import main
 from laddergroups.equivalence import disjointify
 from laddergroups.ladders import LadderSystem, make_block_special, prefix_special
 from laddergroups.ordinals import format_ordinal, omega_power, parse_ordinal
@@ -32,6 +34,7 @@ from laddergroups.splitting import (
     UniformizationData,
     UniformizationError,
     _pack3,
+    _section_walks,
     _seed_search,
     _unpack3,
     build_twisted,
@@ -808,7 +811,8 @@ def seed_problems(draw, max_depth=6):
 def test_seed_solver_matches_scan(problem):
     cfg, depth, colorings, lift, bound = problem
     deltas = cfg.system.deltas_below(ALPHA)
-    assert _seed_search(cfg, deltas, depth, colorings, bound, lift) == seed_search_oracle(
+    walks = _section_walks(cfg, deltas, depth, colorings, lift)
+    assert _seed_search(walks, bound) == seed_search_oracle(
         StageGroup(cfg, ALPHA, depth), colorings, bound, lift
     )
 
@@ -861,3 +865,106 @@ def test_parity_obstruction_builds_no_stage(monkeypatch):
     c1 = Coloring({W2: (0, 0, 1) + (0,) * 13}, 2)
     verdict = parity_obstruction(cfg, c1, zero_coloring(sys, 16), b_data, sys.alpha, 8)
     assert verdict.status == "OBSTRUCTED"
+
+
+# ---------------------------------------------------------------------------
+# the Fraction loop, kept as the oracle of the trace read off the section walk
+
+
+def parity_oracle(psi, c1, c2, deltas, depth):
+    """Trace, status, first color difference and witness of the parity
+    obstruction, dividing the difference chain step by step in Fraction."""
+    traces, witness, obstructed_at = [], None, None
+    for dd in deltas:
+        delta_val = Fraction(0)
+        trace = []
+        for n in range(depth):
+            rhs = delta_val - (c1.color(dd, n) - c2.color(dd, n))
+            delta_val = rhs / psi(n)
+            trace.append((n, psi(n), str(delta_val)))
+            if delta_val.denominator != 1 and obstructed_at is None:
+                obstructed_at = n
+                witness = (f"{psi(n)}*Delta = {rhs} has no integer solution "
+                           f"(step {n} on {format_ordinal(dd)})")
+        traces.append((format_ordinal(dd), tuple(trace)))
+    nstar = min((n for dd in deltas for n in range(depth)
+                 if c1.color(dd, n) != c2.color(dd, n)), default=None)
+    if nstar is None:
+        status = "NOT_OBSTRUCTED"
+    elif psi(nstar) >= 2 and obstructed_at is not None:
+        status = "OBSTRUCTED"
+    else:
+        status = "INCONCLUSIVE"
+    return tuple(traces), status, nstar, witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed_problems())
+def test_parity_obstruction_matches_fraction_oracle(problem):
+    # the drawn lift's blocks of two or more entries become the x lift, and
+    # the coefficients are chosen to annihilate it, as the obstruct check does
+    cfg, depth, colorings, lift, bound = problem
+    b_data = {(d, n): tuple(lift[beta] for beta in sl.block_values(n)) if sl.t(n) > 1 else (0,)
+              for d, sl in cfg.system.items() for n in range(sl.block_count)}
+    cfg = GroupConfig.from_rule(cfg.system, cfg.psi,
+                                lambda d, n, t: choose_annihilator(b_data[(d, n)]))
+    c1, c2 = colorings[0], colorings[-1]
+    verdict = parity_obstruction(cfg, c1, c2, b_data, ALPHA, depth, bounds=(bound,))
+    want = parity_oracle(cfg.psi, c1, c2, cfg.system.deltas_below(ALPHA), depth)
+    assert (verdict.traces, verdict.status, verdict.nstar, verdict.witness) == want
+
+
+def test_obstruct_trace_renders_past_the_int_digit_limit(tmp_path):
+    # the obstruct scale row's scenario at depth 96: factorial psi makes the
+    # trace denominators pass str(int)'s 4300-digit limit near step 83
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    depth = 96
+    scenario = wl._obstruct_scenario(wl._rng(0, "obstruct", 0), depth,
+                                     wl.SIZES["full"]["obstruct_bounds"],
+                                     wl.DELTAS3, wl.ALPHA3, zero_splits=True)
+    path, out = tmp_path / "obstruct-96.json", tmp_path / "report.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == 0
+    (chk,) = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    colorings = [
+        Coloring({parse_ordinal(e["delta"]): tuple(e["colors"])
+                  for e in scenario["colorings"][name]["entries"]}, 2)
+        for name in ("c1", "c2")
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        traces, status, _, _ = parity_oracle(factorial, *colorings,
+                                             tuple(map(parse_ordinal, wl.DELTAS3)), depth)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == chk["status"] == "OBSTRUCTED"
+    assert chk["trace"] == {d: [list(t) for t in tr] for d, tr in traces}
+    assert max(len(v) for tr in chk["trace"].values() for _, _, v in tr) > 4300
+
+
+def test_parity_obstruction_walks_once_for_every_bound(monkeypatch):
+    calls = {"_section_walks": 0, "stage_deltas": 0}
+
+    def counted(name):
+        fn = getattr(splitting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, name, wrapper)
+
+    counted("_section_walks")
+    counted("stage_deltas")
+    sys = paired_system(8)
+    b_data = {(W2, n): (3, 6) for n in range(8)}
+    cfg = GroupConfig.from_rule(sys, None, lambda d, n, t: choose_annihilator(b_data[(d, n)]))
+    c1 = Coloring({W2: (0, 0, 1) + (0,) * 13}, 2)
+    bounds = (1, 5, 25, 625, 15625)
+    verdict = parity_obstruction(cfg, c1, zero_coloring(sys, 16), b_data, sys.alpha, 8, bounds)
+    assert [b for b, _, _ in verdict.searches] == list(bounds)
+    assert calls == {"_section_walks": 1, "stage_deltas": 2}
